@@ -26,9 +26,6 @@ Usage::
     python -m repro profile --scale quick --trace run.trace.json
     python -m repro critical-path run.jsonl
     python -m repro shardplan run.jsonl --by as --out plan.json
-    python -m repro shardplan run.jsonl --emit-config shards.json --shards 4
-    python -m repro stats --scale quick --shards 4 --shard-config shards.json
-    python -m repro fig8 --scale quick --shards 2
     python -m repro report run.jsonl --critical --html report.html
 
 ``--metrics-out FILE`` on a figure command (and on ``stats`` and
@@ -64,9 +61,7 @@ a scenario with per-dimension engine attribution (wall-time per
 callback kind × module × subtree shard), ``critical-path`` computes
 work/span/available-parallelism and explains what bounded each capture,
 ``shardplan`` evaluates a candidate topology cut (per-shard load,
-cross-shard edges, conservative lookahead) and with ``--emit-config``
-writes the ``repro.shardconfig/1`` assignment that ``--shards N``
-execution consumes, ``kinds`` prints the
+cross-shard edges, conservative lookahead), ``kinds`` prints the
 ``repro.journal/1`` event vocabulary, and ``--trace FILE`` on the
 analysis commands exports a Chrome trace-event JSON loadable in
 Perfetto (https://ui.perfetto.dev).  All journal-reading commands
@@ -79,15 +74,6 @@ pool with per-task timeout, retry, and quarantine; its exit code is 0
 when every point completed and 3 on partial failure (quarantined
 points are listed in the ``--out`` artifact, and completed work is
 reusable via ``--checkpoint``).
-
-``--shards N`` (or ``$REPRO_SHARDS``) on ``stats``, the figure
-commands, and ``sweep`` runs each scenario's event loop conservatively
-sharded over N per-AS subtree groups (:mod:`repro.sim.shard`); the
-causal journal stays byte-identical to a serial run — the identity is
-the merge proof, gated in CI.  ``stats`` additionally takes
-``--shard-exec processes`` (forked workers, real parallelism, for
-defense-free continuous workloads) and ``--shard-config FILE`` (a
-``repro.shardconfig/1`` assignment from ``shardplan --emit-config``).
 """
 
 from __future__ import annotations
@@ -160,7 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="event-scheduler policy (default: $REPRO_SCHEDULER, "
             "else auto); results are identical under all policies",
         )
-        _add_shard_args(p)
         _add_stream_dir_args(p)
 
     w = sub.add_parser(
@@ -209,7 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="event-scheduler policy of every task's simulator "
         "(default: $REPRO_SCHEDULER, else auto)",
     )
-    _add_shard_args(w)
     w.add_argument(
         "--timeout",
         type=float,
@@ -348,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="event-scheduler policy (default: $REPRO_SCHEDULER, "
         "else auto); the journal is identical under all policies",
     )
-    _add_shard_args(s, full=True)
     s.add_argument(
         "--metrics-out",
         metavar="FILE",
@@ -494,22 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         default=None,
         help="write the validated repro.shardplan/1 artifact as JSON",
-    )
-    sp.add_argument(
-        "--emit-config",
-        metavar="FILE",
-        default=None,
-        help="also bin-pack the plan's shards onto N groups and write "
-        "the repro.shardconfig/1 assignment the sharded engine consumes "
-        "(repro stats --shards N --shard-config FILE)",
-    )
-    sp.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="group count for --emit-config (default: $REPRO_SHARDS, "
-        "else 2)",
     )
     sp.add_argument(
         "--trace",
@@ -759,14 +726,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         from .obs import Telemetry
 
         telemetry = Telemetry()
-        params = _apply_shard_args(
-            _apply_policy_args(
-                replace(
-                    _scenario_base(args.scale, args.scheduler),
-                    defense=args.defense,
-                ),
-                args,
-            ),
+        params = _apply_policy_args(
+            replace(_scenario_base(args.scale, args.scheduler), defense=args.defense),
             args,
         )
         stream = None
@@ -777,33 +738,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 path=args.stream_out,
                 interval=resolve_stream_interval(args.stream_interval),
             )
-        result = run_tree_scenario(
-            params,
-            telemetry=telemetry,
-            stream=stream,
-            shard_config=_load_shard_config(args),
-        )
+        result = run_tree_scenario(params, telemetry=telemetry, stream=stream)
         # Write the artifacts before printing: stdout may be a closed
         # pipe (`... | head`), and the artifacts must survive that.
         path = telemetry.write(args.metrics_out) if args.metrics_out else None
         journal_path = _write_journal(telemetry, args.journal_out)
         try:
             print(telemetry.render())
-            barrier = telemetry.extra.get("shard_barrier")
-            if barrier:
-                print(
-                    f"sharded: {len(barrier['shards'])} shard(s), "
-                    f"{barrier['cross_schedules']} cross-shard schedules, "
-                    f"{barrier['violations']} barrier violations"
-                )
-            shard_exec = telemetry.extra.get("shard_exec")
-            if shard_exec:
-                print(
-                    f"forked: {shard_exec['shards']} worker(s), "
-                    f"{shard_exec['windows']} sync windows, "
-                    f"{shard_exec['boundary_messages']} boundary messages "
-                    f"(lookahead {shard_exec['lookahead']:g} s)"
-                )
             print(
                 f"legit throughput during attack: "
                 f"{result.legit_pct_during_attack:.1f}% of bottleneck"
@@ -817,13 +758,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except BrokenPipeError:
             pass
         return 0
-    if getattr(args, "shards", None) is not None:
-        # Figure functions build their own scenario params; the shard
-        # count reaches them the same way a bare environment run would
-        # ($REPRO_SHARDS is re-read per scenario, pool workers inherit).
-        import os
-
-        os.environ["REPRO_SHARDS"] = str(args.shards)
     telemetry = None
     if getattr(args, "metrics_out", None) or getattr(args, "journal_out", None):
         from .obs import Telemetry
@@ -901,67 +835,6 @@ def _apply_policy_args(base, args):
     return replace(base, **kwargs)
 
 
-def _add_shard_args(p: argparse.ArgumentParser, full: bool = False) -> None:
-    """``--shards`` (and on ``stats`` the full set): conservative
-    sharded execution (:mod:`repro.sim.shard`)."""
-    p.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="run each scenario's event loop sharded over N per-AS "
-        "subtree groups (default: $REPRO_SHARDS, else serial); the "
-        "journal is byte-identical to a serial run",
-    )
-    if full:
-        p.add_argument(
-            "--shard-exec",
-            choices=("inline", "processes"),
-            default=None,
-            help="sharded execution mode: inline (single process, any "
-            "scenario) or processes (forked workers, real parallelism; "
-            "defense-free continuous workloads with --shard-exec "
-            "processes imply rng_discipline per-host)",
-        )
-        p.add_argument(
-            "--shard-config",
-            metavar="FILE",
-            default=None,
-            help="repro.shardconfig/1 assignment from `repro shardplan "
-            "--emit-config` pinning subtree labels to shard groups",
-        )
-
-
-def _apply_shard_args(base, args):
-    """Fold ``--shards``/``--shard-exec`` into the scenario params.
-
-    Leaves ``shards=0`` (defer to ``$REPRO_SHARDS``) when the flag is
-    absent.  ``--shard-exec processes`` implies the per-host RNG
-    discipline fork mode requires.
-    """
-    from dataclasses import replace
-
-    kwargs = {}
-    if getattr(args, "shards", None) is not None:
-        kwargs["shards"] = args.shards
-    exec_mode = getattr(args, "shard_exec", None)
-    if exec_mode is not None:
-        kwargs["shard_exec"] = exec_mode
-        if exec_mode == "processes":
-            kwargs["rng_discipline"] = "per-host"
-    return replace(base, **kwargs) if kwargs else base
-
-
-def _load_shard_config(args):
-    """The parsed ``--shard-config`` document (or None)."""
-    path = getattr(args, "shard_config", None)
-    if not path:
-        return None
-    from .sim.shard import load_shard_config
-
-    return load_shard_config(path)
-
-
 def _add_stream_dir_args(p: argparse.ArgumentParser) -> None:
     """``--stream-dir``/``--stream-interval`` for multi-run commands."""
     p.add_argument(
@@ -1021,11 +894,8 @@ def _run_sweep_command(args) -> int:
     from .obs.export import write_json
     from .parallel import PoolConfig, SweepCheckpoint, resolve_jobs
 
-    base = _apply_shard_args(
-        _apply_policy_args(
-            replace(_scenario_base(args.scale, args.scheduler), defense=args.defense),
-            args,
-        ),
+    base = _apply_policy_args(
+        replace(_scenario_base(args.scale, args.scheduler), defense=args.defense),
         args,
     )
     values = _parse_sweep_values(base, args.field, args.values)
@@ -1275,7 +1145,6 @@ def _run_shardplan_command(args) -> int:
     from .obs.shardplan import (
         ShardPlanError,
         assign_shards,
-        emit_shard_config,
         render_shardplan,
         shard_plan,
         validate_shardplan,
@@ -1289,24 +1158,10 @@ def _run_shardplan_command(args) -> int:
         return 1
     validate_shardplan(plan)  # the emitted artifact is always valid
     out_path = None
-    config_path = None
     if args.out:
         from .obs.export import write_json
 
         out_path = write_json(args.out, plan)
-    if args.emit_config:
-        from .experiments.scenarios import resolve_shards
-        from .obs.export import write_json
-
-        n_shards = args.shards if args.shards is not None else (
-            resolve_shards() or 2
-        )
-        try:
-            config = emit_shard_config(plan, n_shards)
-        except ShardPlanError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        config_path = write_json(args.emit_config, config)
     trace_path = None
     if args.trace:
         trace_path = _export_trace(
@@ -1316,8 +1171,6 @@ def _run_shardplan_command(args) -> int:
         print(render_shardplan(plan))
         if out_path:
             print(f"shardplan artifact written to {out_path}")
-        if config_path:
-            print(f"shard config written to {config_path}")
         if trace_path:
             print(f"Perfetto trace written to {trace_path}")
     except BrokenPipeError:

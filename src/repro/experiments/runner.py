@@ -136,14 +136,6 @@ def run_scenario_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     from ..obs import Telemetry  # local import keeps workers lean
 
     params: TreeScenarioParams = payload["params"]
-    requested = params
-    if params.shards > 1 and params.shard_exec == "processes":
-        # A pool worker is already one process per task; forking shard
-        # workers underneath it would oversubscribe the machine.  Inline
-        # sharding is journal-identical, so demoting is result-neutral —
-        # the result keeps the *requested* params so serial and pooled
-        # sweeps still ship byte-identical artifacts.
-        params = replace(params, shard_exec="inline")
     telemetry = Telemetry() if payload.get("telemetry") else None
     if telemetry is not None:
         # at=0.0: the scenario's simulator clock starts there; a serial
@@ -163,8 +155,6 @@ def run_scenario_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     )
     if telemetry is not None:
         telemetry.journal.record("pool_task_finish", task=payload.get("task"))
-    if params is not requested:
-        result.params = requested
     return {
         "result": result_to_dict(result),
         "telemetry": telemetry.artifact() if telemetry is not None else None,
@@ -192,6 +182,32 @@ def _scenario_tasks(
         )
         for key, params in named_params
     ]
+
+
+def _discard_stale(
+    checkpoint: Optional[SweepCheckpoint], tasks: Sequence[Task]
+) -> None:
+    """Forget checkpointed outcomes recorded under other params.
+
+    Task ids such as ``seed=0`` do not encode the base params, so an id
+    match alone could resume a different scenario's result.  An outcome
+    whose recorded ``params`` differ from the task's — including one
+    written when the params had other fields — is run again.
+    """
+    if checkpoint is None:
+        return
+    stale = []
+    for task in tasks:
+        done = checkpoint.get(task.task_id)
+        if done is None:
+            continue
+        value = done.get("value")
+        result = value.get("result") if isinstance(value, dict) else None
+        recorded = result.get("params") if isinstance(result, dict) else None
+        if recorded != asdict(task.payload["params"]):
+            stale.append(task.task_id)
+    if stale:
+        checkpoint.discard(stale)
 
 
 def _raise_on_quarantine(report: PoolReport, what: str) -> None:
@@ -299,6 +315,7 @@ def replicate_scenario(
         )
         for s in seeds
     ]
+    _discard_stale(checkpoint, tasks)
     report = run_tasks(
         tasks, pool_config or PoolConfig(jobs=jobs), checkpoint=checkpoint
     )
@@ -429,6 +446,7 @@ def run_sweep(
     config = pool_config or PoolConfig(jobs=resolve_jobs(jobs))
     if stream and config.status_dir is None:
         config.status_dir = stream["dir"]
+    _discard_stale(checkpoint, tasks)
     report = run_tasks(tasks, config, checkpoint=checkpoint, on_outcome=on_outcome)
     if telemetry is not None:
         for task in tasks:

@@ -16,7 +16,6 @@ which is what the reported shapes depend on.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Literal, Optional, Tuple
 
@@ -29,7 +28,6 @@ from ..honeypots.roaming import RoamingServerPool
 from ..honeypots.schedule import RoamingSchedule
 from ..honeypots.subscription import SubscriptionService
 from ..pushback.protocol import PushbackConfig
-from ..sim import shard as shard_mod
 from ..sim.engine import Simulator
 from ..sim.monitor import ThroughputMonitor, mean_over_window
 from ..sim.network import Network
@@ -48,7 +46,6 @@ from ..traffic.policies import NULL_PROBES, BotEnv, DefenseProbes, make_policy
 __all__ = [
     "TreeScenarioParams",
     "TreeScenarioResult",
-    "resolve_shards",
     "run_tree_scenario",
     "paper_scale",
     "PARAMETER_TABLE",
@@ -56,15 +53,6 @@ __all__ = [
 ]
 
 DefenseName = Literal["none", "pushback", "honeypot"]
-
-
-def resolve_shards(value: Optional[int] = None) -> int:
-    """Requested shard count: explicit value, else ``$REPRO_SHARDS``,
-    else 0 (serial).  Mirrors how ``--jobs``/``$REPRO_JOBS`` resolve."""
-    if value is not None:
-        return int(value)
-    env = os.environ.get("REPRO_SHARDS")
-    return int(env) if env else 0
 
 
 @dataclass(frozen=True)
@@ -123,23 +111,6 @@ class TreeScenarioParams:
     # the engine default (REPRO_SCHEDULER env var, else auto).  The
     # journal is byte-identical across policies (see repro.sim.engine).
     scheduler: Optional[str] = None
-    # Conservative sharded execution (repro.sim.shard).  ``shards`` is
-    # the requested shard count (0/1 = serial); degenerate cuts fall
-    # back to serial automatically.  ``shard_exec`` picks the mode:
-    # "inline" (single process, exact serial dispatch order, every
-    # scenario) or "processes" (forked workers, real parallelism,
-    # restricted to defense-free continuous workloads with per-host
-    # RNG).  The journal is byte-identical across all of these.
-    shards: int = 0
-    shard_exec: str = "inline"
-    # RNG stream discipline: "shared" (legacy — one stream for all
-    # clients, one for all attackers) or "per-host" (independent
-    # derived stream per leaf, plus an attacker start stagger within
-    # one packet interval).  Per-host streams make every host's draw
-    # sequence independent of event interleaving across shards, which
-    # fork-mode execution requires; they change the sampled workload,
-    # so the two disciplines are distinct (journal-stable) scenarios.
-    rng_discipline: str = "shared"
 
     @property
     def n_clients(self) -> int:
@@ -240,11 +211,7 @@ def _build_defense(
 
 
 def run_tree_scenario(
-    params: TreeScenarioParams,
-    telemetry=None,
-    stream=None,
-    profile=False,
-    shard_config=None,
+    params: TreeScenarioParams, telemetry=None, stream=None, profile=False
 ) -> TreeScenarioResult:
     """Build, run, and measure one tree-scenario simulation.
 
@@ -267,41 +234,6 @@ def run_tree_scenario(
     (:func:`~repro.topology.tree.subtree_partition`).  Attribution only
     reads — journals stay byte-identical with profiling on or off.
     """
-    if params.shard_exec not in ("inline", "processes"):
-        raise ValueError(f"unknown shard_exec {params.shard_exec!r}")
-    if params.rng_discipline not in ("shared", "per-host"):
-        raise ValueError(f"unknown rng_discipline {params.rng_discipline!r}")
-    if params.shards < 0:
-        raise ValueError(f"shards must be >= 0 (got {params.shards})")
-    # shards=0 defers to $REPRO_SHARDS (shards=1 is an explicit serial
-    # request that the environment cannot override).
-    shards = params.shards if params.shards else resolve_shards()
-    if shards > 1 and params.shard_exec == "processes":
-        # Fork mode runs each shard's callbacks on a private copy of
-        # the object graph, so it is restricted to workloads whose
-        # every scheduled callback resolves to one shard and whose RNG
-        # draws are independent of cross-shard interleaving.
-        blockers = []
-        if params.defense != "none":
-            blockers.append(f"defense={params.defense!r} (need 'none')")
-        if params.attacker_policy != "continuous":
-            blockers.append(
-                f"attacker_policy={params.attacker_policy!r} (need 'continuous')"
-            )
-        if params.n_amplifiers:
-            blockers.append(f"n_amplifiers={params.n_amplifiers} (need 0)")
-        if params.rng_discipline != "per-host":
-            blockers.append(
-                f"rng_discipline={params.rng_discipline!r} (need 'per-host')"
-            )
-        if stream is not None:
-            blockers.append("live streaming (per-process)")
-        if profile:
-            blockers.append("profile dimensions (per-process)")
-        if blockers:
-            raise ValueError(
-                "shard_exec='processes' does not support: " + "; ".join(blockers)
-            )
     if not 0 <= params.n_attackers <= params.n_leaves:
         raise ValueError("n_attackers out of range")
     if params.n_attackers + params.n_amplifiers > params.n_leaves:
@@ -330,25 +262,7 @@ def run_tree_scenario(
         bottleneck_bw=params.bottleneck_bw,
     )
     topo = build_tree_topology(tree_params, rngs.stream("topology"))
-    # Sharded execution: partition into per-AS subtrees; degenerate
-    # cuts (one effective shard / no positive lookahead) fall back to
-    # the plain serial loop.
-    layout = None
-    if shards > 1:
-        layout = shard_mod.shard_layout(
-            topo.graph, subtree_partition(topo), shards, config=shard_config
-        )
-        if layout.n_groups < 2 or not (layout.lookahead or 0.0) > 0.0:
-            layout = None
-    if layout is not None and params.shard_exec == "inline":
-        if profile:
-            raise ValueError(
-                "profile dimensions are per-event-loop; run without shards"
-            )
-        sim = shard_mod.ShardedSimulator(layout, scheduler=params.scheduler)
-    else:
-        sim = Simulator(scheduler=params.scheduler)
-    net = Network.from_graph(topo.graph, sim=sim)
+    net = Network.from_graph(topo.graph, sim=Simulator(scheduler=params.scheduler))
 
     attacker_ids, client_ids = assign_roles(
         topo, params.n_attackers, params.placement, rngs.stream("roles")
@@ -468,15 +382,10 @@ def run_tree_scenario(
         )
 
     # --- Legitimate clients -------------------------------------------
-    # "shared" keeps the legacy single client stream; "per-host" derives
-    # an independent stream per leaf so a host's draw sequence does not
-    # depend on how events interleave across shards.
-    per_host = params.rng_discipline == "per-host"
-    client_rng = None if per_host else rngs.stream("clients")
+    client_rng = rngs.stream("clients")
     clients = []
     for leaf in client_ids:
         host = net.nodes[leaf]
-        rng = rngs.stream(f"client.{leaf}") if per_host else client_rng
         if service is not None:
             sub = service.subscribe(0.0, "high")
             app = RoamingClientApp(
@@ -485,7 +394,7 @@ def run_tree_scenario(
                 sub,
                 topo.server_ids,
                 params.client_rate,
-                rng,
+                client_rng,
                 params.packet_size,
                 jitter=params.jitter,
             )
@@ -495,40 +404,25 @@ def run_tree_scenario(
                 host,
                 topo.server_ids,
                 params.client_rate,
-                rng,
+                client_rng,
                 params.packet_size,
                 jitter=params.jitter,
             )
         # Stagger client start within one packet interval to avoid
         # phase-locked bursts at t=0.
-        app.start(at=float(rng.uniform(0.0, 0.2)))
+        app.start(at=float(client_rng.uniform(0.0, 0.2)))
         clients.append(app)
 
     # --- Attackers -----------------------------------------------------
     # ``attackers`` is the seed per-bot stream (target/spoof/phase draws
     # in the legacy order); ``attacker-policy`` is a separate stream for
     # policy-level decisions, so adaptive policies never perturb it.
-    attack_rng = None if per_host else rngs.stream("attackers")
-    policy_rng = None if per_host else rngs.stream("attacker-policy")
+    attack_rng = rngs.stream("attackers")
+    policy_rng = rngs.stream("attacker-policy")
     server_addrs = tuple(int(s) for s in topo.server_ids)
     amplifier_addrs = tuple(int(a) for a in amplifier_ids)
-    # Per-host attack starts stagger within one packet interval: with a
-    # common start instant, equal-depth zombies in different subtrees
-    # produce exactly tied arrivals, and tie order is the one thing a
-    # distributed run cannot reproduce.  The stagger is at most one
-    # inter-packet gap, so attack timing is unchanged at workload scale.
-    stagger_span = (
-        params.packet_size * 8.0 / params.attacker_rate
-        if params.attacker_rate > 0
-        else 0.0
-    )
     zombies = []
     for leaf in attacker_ids:
-        if per_host:
-            bot_rng = rngs.stream(f"attacker.{leaf}")
-            bot_policy_rng = rngs.stream(f"attacker-policy.{leaf}")
-        else:
-            bot_rng, bot_policy_rng = attack_rng, policy_rng
         env = BotEnv(
             sim=net.sim,
             host=net.nodes[leaf],
@@ -536,17 +430,14 @@ def run_tree_scenario(
             rate_bps=params.attacker_rate,
             packet_size=params.packet_size,
             jitter=params.jitter,
-            rng=bot_rng,
-            policy_rng=bot_policy_rng,
+            rng=attack_rng,
+            policy_rng=policy_rng,
             probes=probes,
             amplifiers=amplifier_addrs,
             journal=journal,
         )
         z = policy.spawn(env)
-        start_at = params.attack_start
-        if per_host:
-            start_at += float(bot_rng.uniform(0.0, stagger_span))
-        z.start(at=start_at)
+        z.start(at=params.attack_start)
         net.sim.schedule_at(params.attack_end, z.stop)
         zombies.append(z)
 
@@ -568,12 +459,8 @@ def run_tree_scenario(
     )
     monitor.start()
 
-    shard_stats: Optional[Dict[str, Any]] = None
     try:
-        if layout is not None and params.shard_exec == "processes":
-            shard_stats = shard_mod.run_forked(net, layout, params.duration)
-        else:
-            net.run(until=params.duration)
+        net.run(until=params.duration)
     except BaseException:
         if streamer is not None:
             streamer.close()
@@ -608,10 +495,6 @@ def run_tree_scenario(
 
     if telemetry is not None:
         telemetry.snapshot_network(net)
-        if shard_stats is not None:
-            telemetry.extra.setdefault("shard_exec", shard_stats)
-        if isinstance(net.sim, shard_mod.ShardedSimulator):
-            telemetry.extra.setdefault("shard_barrier", net.sim.barrier.stats())
         telemetry.record_stats(defense.stats(), prefix=f"{defense.name}_")
         telemetry.extra.setdefault("throughput", monitor.to_dict())
         entry = {

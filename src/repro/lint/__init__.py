@@ -36,8 +36,8 @@ the handler call graph (:mod:`repro.lint.callgraph`):
 ========  ==========================================================
  RPL1xx    shard-safety: no event handler reaches shared mutable
            state (module globals, class attributes, captured
-           containers) — the static precondition for partitioning
-           one scenario across worker shards
+           containers) — keeps handlers independent of process and
+           dispatch order, so pool workers and replays agree
  RPL2xx    RNG-stream registry: stream names are literal, unique
            across modules, and drawn from seeded registries
  RPL3xx    journal/telemetry schema: emitted journal kinds and the

@@ -12,10 +12,10 @@ only visible across module boundaries:
   Dynamic names defeat the static registry: nothing can audit which
   streams exist, and collisions of the RPL201 kind become untestable.
   One idiom is exempt: a *stream family* — an f-string whose static
-  literal head is a dotted namespace (``f"client.{leaf}"``).  Per-host
-  RNG disciplines (sharded execution) need one stream per leaf; the
-  family prefix keeps the registry auditable (RPL201 checks prefixes
-  for collisions exactly like literal names).
+  literal head is a dotted namespace (``f"client.{leaf}"``), for code
+  that needs one stream per host; the family prefix keeps the
+  registry auditable (RPL201 checks prefixes for collisions exactly
+  like literal names).
 * **RPL203** — ``RngRegistry()`` with no arguments.  The default seed
   silently couples the run to whatever the default happens to be,
   instead of the scenario's explicit master seed.

@@ -1,10 +1,10 @@
 """RPL1xx — shard-safety: no shared mutable state behind event handlers.
 
-The ROADMAP's next dynamic milestone is partitioning one scenario's
-topology across worker shards.  That is only sound if event handlers
-communicate exclusively through the scheduler (messages/events), never
-through memory shared behind the scheduler's back.  These passes check
-the three ways Python code acquires such sharing:
+A run is deterministic across pool workers, replays and any partition
+of its topology only if event handlers communicate exclusively through
+the scheduler (messages/events), never through memory shared behind
+the scheduler's back.  These passes check the three ways Python code
+acquires such sharing:
 
 * **RPL101** — a handler-reachable function writes module-level
   mutable state: rebinds a ``global``, or mutates a module-level

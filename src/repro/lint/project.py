@@ -1,7 +1,7 @@
 """Whole-program project model: parse once, analyze across modules.
 
 reprolint v1 rules see one file at a time, which is exactly the wrong
-granularity for the invariants sharded simulation needs: whether an
+granularity for the cross-module determinism invariants: whether an
 event handler reaches module state *in another file*, whether two
 modules accidentally claim the same RNG stream name, whether a journal
 kind emitted in ``repro/backprop`` is documented in the schema table in
@@ -194,7 +194,7 @@ class StreamUse:
 
     ``prefix`` is the static literal head of an f-string name
     (``f"client.{leaf}"`` -> ``"client."``) — the *stream family*
-    idiom per-host RNG disciplines use.  It stays None for literal
+    idiom for one stream per host.  It stays None for literal
     names and for f-strings with no literal head.
     """
 

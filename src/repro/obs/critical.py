@@ -1,16 +1,17 @@
 """Critical-path analysis over the causal journal (``repro.critical/1``).
 
-The ROADMAP's sharded parallel DES is only worth building if the
-workload actually contains parallelism, and the causal journal already
-holds the answer: each ``parent -> child`` link is a dependency edge
-whose *cost* is the simulated-time delta between the two events.  Over
-that forest this module computes the classic work/span decomposition:
+How much of a run could proceed in parallel?  The causal journal
+already holds the answer: each ``parent -> child`` link is a
+dependency edge whose *cost* is the simulated-time delta between the
+two events.  Over that forest this module computes the classic
+work/span decomposition:
 
 * **work** — the sum of all edge costs (total sequential footprint);
 * **span** — the cost of the most expensive root-to-node chain (the
   time-weighted critical path nothing can shorten);
 * **available parallelism** = work / span — the single number that
-  upper-bounds sharded-DES speedup (Brent's bound).
+  upper-bounds the speedup of any parallel execution of one run
+  (Brent's bound).
 
 It also explains individual outcomes: for every capture event
 (``port_close`` by default) the full causal chain back to its session

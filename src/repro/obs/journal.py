@@ -159,7 +159,7 @@ def _journal_reader(path: str) -> Iterator[IO[str]]:
 class JournalEvent:
     """One recorded occurrence, causally linked to its parent event."""
 
-    __slots__ = ("event_id", "name", "time", "parent_id", "attrs", "origin")
+    __slots__ = ("event_id", "name", "time", "parent_id", "attrs")
 
     def __init__(
         self,
@@ -176,12 +176,6 @@ class JournalEvent:
         # Defensive copy: the caller's kwargs dict must not alias the
         # recorded event (shard-safety invariant RPL103).
         self.attrs = dict(attrs)
-        # Sharded-execution provenance — (dispatch_index, ordinal,
-        # shard) stamped by a Journal.origin hook, or None.  Never
-        # serialized (as_dict is unchanged), so journal bytes are
-        # identical with or without provenance; repro.parallel.merge
-        # uses it to split/merge per-shard journals.
-        self.origin: Optional[Tuple[int, int, int]] = None
 
     def as_dict(self) -> Dict[str, Any]:
         return {
@@ -213,10 +207,6 @@ class Journal:
     def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
         self.clock: Callable[[], float] = clock if clock is not None else (lambda: 0.0)
         self.events: List[JournalEvent] = []
-        # Optional provenance hook (repro.sim.shard sets this): called
-        # once per record() and its return value stamped on the event's
-        # non-serialized ``origin`` slot.
-        self.origin: Optional[Callable[[], Tuple[int, int, int]]] = None
 
     # ------------------------------------------------------------------
     # Recording
@@ -243,8 +233,6 @@ class Journal:
             parent_id,
             attrs,
         )
-        if self.origin is not None:
-            event.origin = self.origin()
         self.events.append(event)
         return event
 

@@ -24,21 +24,14 @@ removes those for comparisons.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Sequence, Tuple
+from typing import Any, Dict, Iterable, Sequence
 
-from ..obs.journal import Journal, JournalEvent
+from ..obs.journal import JournalEvent
 from ..obs.registry import MetricsRegistry
 from ..obs.spans import Span
 from ..obs.telemetry import Telemetry
 
-__all__ = [
-    "absorb_artifact",
-    "merge_artifacts",
-    "merge_shard_journals",
-    "split_journal_by_origin",
-    "strip_volatile",
-    "VOLATILE_KEYS",
-]
+__all__ = ["absorb_artifact", "merge_artifacts", "strip_volatile", "VOLATILE_KEYS"]
 
 # Wall-clock-derived fields: the only artifact entries allowed to
 # differ between a serial and an N-worker run of the same sweep.
@@ -132,112 +125,3 @@ def merge_artifacts(artifacts: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
         if artifact:
             absorb_artifact(telemetry, artifact)
     return telemetry.artifact()
-
-
-# ----------------------------------------------------------------------
-# Sharded journals: split by execution origin, merge back to serial bytes
-# ----------------------------------------------------------------------
-# The sharded engine (repro.sim.shard) stamps every journal event with a
-# non-serialized (dispatch_index, ordinal, shard) origin.  split breaks
-# one journal into per-shard parts whose ids are locally dense — the
-# shape per-worker journals naturally have — with order keys and a
-# cross-shard parent side table; merge interleaves the parts back by
-# origin order under the same id-remapping scheme absorb_artifact uses.
-# Round-tripping the serial journal through split+merge and comparing
-# bytes is the "journal is the merge proof" witness for a sharded run.
-
-
-def split_journal_by_origin(
-    journal: Journal, n_shards: int
-) -> List[Dict[str, Any]]:
-    """Break ``journal`` into per-shard parts by each event's origin.
-
-    Events recorded outside any dispatch (build-time, origin None) sort
-    before every dispatch and land on shard 0, as do events whose
-    origin shard falls outside ``[0, n_shards)`` (the engine maps
-    bracket records there the same way).
-
-    Each part is ``{"shard", "journal", "order", "xparents"}``: event
-    dicts with shard-locally dense ids, one ``(dispatch_index,
-    ordinal)`` order key per event, and a ``local_id -> (shard,
-    local_id)`` side table for parent links that cross shards.
-    """
-    if n_shards < 1:
-        raise ValueError(f"n_shards must be >= 1 (got {n_shards})")
-    parts: List[Dict[str, Any]] = [
-        {"shard": s, "journal": [], "order": [], "xparents": {}}
-        for s in range(n_shards)
-    ]
-    placed: Dict[int, Tuple[int, int]] = {}  # original id -> (shard, local)
-    for index, event in enumerate(journal.events):
-        origin = getattr(event, "origin", None)
-        if origin is None:
-            shard = 0
-            key: Tuple[int, int] = (-1, index)
-        else:
-            shard = origin[2] if 0 <= origin[2] < n_shards else 0
-            key = (origin[0], origin[1])
-        part = parts[shard]
-        local = len(part["journal"])
-        placed[event.event_id] = (shard, local)
-        d = event.as_dict()
-        d["id"] = local
-        if event.parent_id is not None:
-            pshard, plocal = placed[event.parent_id]
-            if pshard == shard:
-                d["parent"] = plocal
-            else:
-                d["parent"] = None
-                part["xparents"][str(local)] = [pshard, plocal]
-        part["journal"].append(d)
-        part["order"].append(list(key))
-    return parts
-
-
-def merge_shard_journals(parts: Sequence[Dict[str, Any]]) -> Journal:
-    """Interleave per-shard journal parts back into one journal.
-
-    Events merge in origin order (build-time events first, then by
-    ``(dispatch_index, ordinal)``); ids are reassigned densely and
-    parent links — local and cross-shard — are remapped, the same
-    offset-style surgery :func:`absorb_artifact` performs for pool
-    workers.  Origin keys must be unique across parts (they are a total
-    order on the serial record sequence).
-    """
-    rows: List[Tuple[Tuple[int, int], int, int, Dict[str, Any]]] = []
-    for part in parts:
-        shard = int(part["shard"])
-        order = part["order"]
-        events = part["journal"]
-        if len(order) != len(events):
-            raise ValueError(
-                f"shard {shard}: {len(events)} events but {len(order)} order keys"
-            )
-        for local, (d, key) in enumerate(zip(events, order)):
-            rows.append(((int(key[0]), int(key[1])), shard, local, d))
-    rows.sort(key=lambda r: r[0])
-    for (key, _s, _l, _d), (key2, s2, _l2, d2) in zip(rows, rows[1:]):
-        if key == key2:
-            raise ValueError(
-                f"duplicate origin key {key} (shard {s2}, event {d2.get('id')})"
-            )
-    new_id: Dict[Tuple[int, int], int] = {
-        (shard, local): i for i, (_key, shard, local, _d) in enumerate(rows)
-    }
-    merged = Journal()
-    for i, (_key, shard, local, d) in enumerate(rows):
-        parent = d.get("parent")
-        # Cross-shard parents are None here; the side-table pass below
-        # resolves them.
-        parent_id = new_id[(shard, int(parent))] if parent is not None else None
-        merged.events.append(
-            JournalEvent(i, d["name"], d["t"], parent_id, dict(d.get("attrs", {})))
-        )
-    # Second pass: resolve cross-shard parents from the side tables (the
-    # first pass left them None).
-    for part in parts:
-        shard = int(part["shard"])
-        for local_str, (pshard, plocal) in part["xparents"].items():
-            child = new_id[(shard, int(local_str))]
-            merged.events[child].parent_id = new_id[(int(pshard), int(plocal))]
-    return merged

@@ -18,7 +18,6 @@ from .packet import DEFAULT_TTL, Packet, PacketKind
 from .queues import DropRateEstimator, DropTailQueue, REDQueue, TokenBucket
 from .rng import RngRegistry, derive_seed
 from .routing import install_routes, path_hops
-from .trace import TraceEvent, Tracer
 
 __all__ = [
     "Channel",
@@ -43,8 +42,6 @@ __all__ = [
     "ThroughputMonitor",
     "Timer",
     "TokenBucket",
-    "TraceEvent",
-    "Tracer",
     "derive_seed",
     "install_routes",
     "mean_over_window",

@@ -29,7 +29,7 @@ process abstraction.  Helper classes (:class:`Timer`,
 protocols need.
 
 Allocation relief: dispatched :class:`Event` objects are recycled
-through a per-simulator freelist (``REPRO_EVENT_FREELIST=0`` disables).
+through a per-simulator freelist of at most ``_FREELIST_MAX`` entries.
 The contract is that an Event handle is only meaningful until its
 callback has run — cancelling after that is a no-op on the handle, but
 holders must drop fired-event references promptly (every in-tree holder
@@ -42,7 +42,6 @@ from __future__ import annotations
 import os
 from typing import Any, Callable, List, Optional, Sequence, Union
 
-from .barrier import BarrierError, ClockBarrier
 from .scheduler import (
     AUTO_CALENDAR_THRESHOLD,
     CalendarQueueScheduler,
@@ -50,14 +49,7 @@ from .scheduler import (
     Scheduler,
 )
 
-__all__ = [
-    "Event",
-    "Simulator",
-    "Timer",
-    "SimulationError",
-    "BarrierError",
-    "ClockBarrier",
-]
+__all__ = ["Event", "Simulator", "Timer", "SimulationError"]
 
 # Cap on recycled Event objects kept per simulator; bounds memory after
 # a scheduling burst while still absorbing the steady-state churn.
@@ -127,11 +119,7 @@ class Simulator:
     1.5
     """
 
-    def __init__(
-        self,
-        scheduler: Union[str, Scheduler, None] = None,
-        packet_pool: Union[bool, Any, None] = None,
-    ) -> None:
+    def __init__(self, scheduler: Union[str, Scheduler, None] = None) -> None:
         self.now: float = 0.0
         self._seq: int = 0
         self._running = False
@@ -156,14 +144,6 @@ class Simulator:
         # so the journal is identical with or without a stream.
         self.stream: Optional[Any] = None
         self.timer_jitter_clamps: int = 0
-        # Cross-shard intercept seam (repro.sim.shard forked workers
-        # install this).  When set, schedule_at offers every schedule to
-        # the shunt first; a True return means the event was captured as
-        # an outgoing boundary message and must not enter the local
-        # scheduler.  None costs one attribute test per schedule.
-        self._shunt: Optional[Callable[[float, Callable[..., Any], tuple], bool]] = (
-            None
-        )
 
         if scheduler is None:
             scheduler = os.environ.get("REPRO_SCHEDULER") or "auto"
@@ -187,30 +167,6 @@ class Simulator:
 
         # Event freelist (allocation relief on the hot path).
         self._free: List[Event] = []
-        self._free_max = (
-            0
-            if os.environ.get("REPRO_EVENT_FREELIST", "1") in ("0", "false", "no")
-            else _FREELIST_MAX
-        )
-
-        # Optional packet recycling pool (repro.sim.packet.PacketPool).
-        # Off by default: consumers that retain packet references past
-        # delivery must copy (borrow-only contract, see packet.py).
-        if packet_pool is None:
-            packet_pool = os.environ.get("REPRO_PACKET_POOL", "") in (
-                "1",
-                "true",
-                "yes",
-            )
-        if isinstance(packet_pool, bool):
-            if packet_pool:
-                from .packet import PacketPool
-
-                self.packet_pool: Optional[Any] = PacketPool()
-            else:
-                self.packet_pool = None
-        else:
-            self.packet_pool = packet_pool
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -232,16 +188,6 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time} before current time t={self.now}"
             )
-        shunt = self._shunt
-        if shunt is not None and shunt(time, fn, args):
-            # Captured as a cross-shard boundary message: the event fires
-            # on the *receiving* shard, not here.  Hand back a fresh,
-            # never-queued handle so callers that cancel it get a no-op.
-            # Safe because boundary deliveries (Channel._fused_done /
-            # _deliver) never store their schedule handles.
-            ev = Event(time, fn, args)
-            ev._queued = False
-            return ev
         free = self._free
         if free:
             ev = free.pop()
@@ -359,7 +305,7 @@ class Simulator:
         self._running = True
         self._stopped = False
         free = self._free
-        free_max = self._free_max
+        free_max = _FREELIST_MAX
         # Sentinel instead of a per-event None test; time > inf is never
         # true, so the untimed loop pays one float compare.
         limit = float("inf") if until is None else until
@@ -421,7 +367,7 @@ class Simulator:
         self._running = True
         self._stopped = False
         free = self._free
-        free_max = self._free_max
+        free_max = _FREELIST_MAX
         processed = 0
         hwm = self._live
         sim_start = self.now
@@ -506,7 +452,7 @@ class Simulator:
         self._running = True
         self._stopped = False
         free = self._free
-        free_max = self._free_max
+        free_max = _FREELIST_MAX
         processed = 0
         hwm = self._live
         sim_start = self.now
@@ -578,29 +524,6 @@ class Simulator:
     def stop(self) -> None:
         """Stop :meth:`run` after the current event returns."""
         self._stopped = True
-
-    def peek_time(self) -> float:
-        """Timestamp of the earliest *live* pending event (+inf if idle).
-
-        Lazily-cancelled entries at the head are discarded on the way —
-        the same skip the event loop would perform — so the answer is
-        the time of the next event that will actually fire.  This is the
-        per-shard clock promise the conservative sharded mode
-        (:mod:`repro.sim.shard`) exchanges at barrier points: a shard
-        whose ``peek_time()`` is ``t`` cannot cause any effect anywhere
-        before ``t``, and cannot deliver across a boundary channel
-        before ``t + lookahead``.
-        """
-        sched = self._sched
-        while True:
-            entry = sched.peek()
-            if entry is None:
-                return float("inf")
-            ev = entry[2]
-            if not ev.cancelled:
-                return entry[0]
-            sched.pop()  # discard the cancelled head lazily
-            ev._queued = False
 
     def pending(self, live: bool = False) -> int:
         """Number of pending events.

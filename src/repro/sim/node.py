@@ -146,13 +146,6 @@ class Host(Node):
             return
         for handler in self.delivery_handlers:
             handler(pkt)
-        # Delivery is the end of a DATA packet's life: recycle it when
-        # the pool is enabled.  Handlers are borrow-only (see
-        # packet.PacketPool); control packets are exempt because their
-        # payloads may outlive delivery inside protocol state.
-        pool = self.sim.packet_pool
-        if pool is not None:
-            pool.release(pkt)
 
 
 class Router(Node):

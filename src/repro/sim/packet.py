@@ -16,23 +16,14 @@ read or write:
 
 Addresses are plain integers (node IDs); an address space abstraction
 would add cost in the hot path without adding fidelity.
-
-Recycling: :class:`PacketPool` (opt-in via ``Simulator(packet_pool=...)``
-or ``REPRO_PACKET_POOL=1``) hands delivered/dropped packets back to the
-sources instead of the garbage collector.  A pooled acquire draws a
-*fresh* uid from the same global counter as a plain construction, so uid
-sequences are identical with and without the pool.  The contract is
-borrow-only: consumers that retain a packet reference past the delivery
-callback (traces, captures) must copy the fields they need — the object
-may be reissued to the next flow.
 """
 
 from __future__ import annotations
 
 from itertools import count
-from typing import Any, List, Optional
+from typing import Any, Optional
 
-__all__ = ["Packet", "PacketKind", "PacketPool", "DEFAULT_TTL"]
+__all__ = ["Packet", "PacketKind", "DEFAULT_TTL"]
 
 DEFAULT_TTL = 255
 
@@ -83,7 +74,6 @@ class Packet:
         "payload",
         "created_at",
         "hops",
-        "_in_pool",
     )
 
     def __init__(
@@ -111,7 +101,6 @@ class Packet:
         self.payload = payload
         self.created_at = created_at
         self.hops = 0
-        self._in_pool = False
 
     @property
     def spoofed(self) -> bool:
@@ -125,97 +114,3 @@ class Packet:
             f"{self.kind} {self.size}B ttl={self.ttl})"
         )
 
-
-class PacketPool:
-    """Recycling pool for :class:`Packet` objects (borrow-only contract).
-
-    ``acquire`` either reuses a released packet — resetting *every*
-    field, including ``mark``/``ttl``/``hops``/``payload``, so no header
-    state can leak between flows — or constructs a new one.  Either way
-    the packet gets a fresh uid from the global counter, so traces and
-    journals are identical whether or not the pool is enabled.
-
-    ``release`` is called by the delivery/drop endpoints (host delivery
-    of DATA packets, channel tail drops).  Router-filtered packets are
-    *not* released: a defense that filtered a packet may still hold it
-    (e.g. for diversion to a honeypot or marking statistics).
-    """
-
-    __slots__ = ("_free", "max_free", "created", "reused", "recycled")
-
-    def __init__(self, max_free: int = 4096) -> None:
-        self._free: List[Packet] = []
-        self.max_free = max_free
-        self.created = 0  # acquires served by construction
-        self.reused = 0  # acquires served from the pool
-        self.recycled = 0  # releases accepted into the pool
-
-    def acquire(
-        self,
-        src: int,
-        dst: int,
-        size: int,
-        *,
-        true_src: Optional[int] = None,
-        flow: Any = None,
-        kind: str = PacketKind.DATA,
-        payload: Any = None,
-        ttl: int = DEFAULT_TTL,
-        created_at: float = 0.0,
-    ) -> Packet:
-        free = self._free
-        if free:
-            pkt = free.pop()
-            pkt._in_pool = False
-            pkt.uid = next(_packet_uid)
-            pkt.src = src
-            pkt.dst = dst
-            pkt.size = size
-            pkt.true_src = src if true_src is None else true_src
-            pkt.flow = flow
-            pkt.kind = kind
-            pkt.mark = 0
-            pkt.ttl = ttl
-            pkt.payload = payload
-            pkt.created_at = created_at
-            pkt.hops = 0
-            self.reused += 1
-            return pkt
-        self.created += 1
-        return Packet(
-            src,
-            dst,
-            size,
-            true_src=true_src,
-            flow=flow,
-            kind=kind,
-            payload=payload,
-            ttl=ttl,
-            created_at=created_at,
-        )
-
-    def release(self, pkt: Packet) -> None:
-        """Return a packet to the pool (idempotent per acquire)."""
-        if pkt._in_pool:
-            return
-        free = self._free
-        if len(free) >= self.max_free:
-            return
-        pkt._in_pool = True
-        # Drop object references eagerly so the pool never pins payloads
-        # or flow labels alive.
-        pkt.payload = None
-        pkt.flow = None
-        free.append(pkt)
-        self.recycled += 1
-
-    def stats(self) -> dict:
-        return {
-            "created": self.created,
-            "reused": self.reused,
-            "recycled": self.recycled,
-            "free": len(self._free),
-        }
-
-    def __len__(self) -> int:
-        return len(self._free)

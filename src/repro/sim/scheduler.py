@@ -74,8 +74,6 @@ class Scheduler(Protocol):
 
     def pop(self) -> Optional[Entry]: ...
 
-    def peek(self) -> Optional[Entry]: ...
-
     def drain(self) -> List[Entry]: ...
 
     def __len__(self) -> int: ...
@@ -99,12 +97,6 @@ class HeapScheduler:
         if not self._heap:
             return None
         return heapq.heappop(self._heap)
-
-    def peek(self) -> Optional[Entry]:
-        """The earliest entry without removing it (None when empty)."""
-        if not self._heap:
-            return None
-        return self._heap[0]
 
     def drain(self) -> List[Entry]:
         out, self._heap = self._heap, []
@@ -299,22 +291,6 @@ class CalendarQueueScheduler:
         self._last_time = entry[0]
         if self._size < self._shrink_at:
             self._resize(self._nbuckets // 2)
-        return entry
-
-    def peek(self) -> Optional[Entry]:
-        """The earliest entry without removing it (None when empty).
-
-        When the front window is exhausted this has to pop (refilling on
-        the way) and push the entry back; both ends are O(1) amortized,
-        and peeks land on the hot front-window path in the steady state.
-        """
-        if self._fpos < len(self._front):
-            return self._front[self._fpos]
-        if self._size == 0:
-            return None
-        entry = self.pop()
-        if entry is not None:
-            self.push(entry)
         return entry
 
     def _refill(self) -> None:

@@ -71,25 +71,14 @@ class AmplifierApp:
         # Reflect under the amplifier's true address: the defense's
         # back-propagated signature points here, not at the bot.
         size = pkt.size
-        pool = self.sim.packet_pool
         for _ in range(self.gain):
-            if pool is not None:
-                out = pool.acquire(
-                    self.host.addr,
-                    victim,
-                    size,
-                    true_src=self.host.addr,
-                    flow=("attack", self.host.addr),
-                    created_at=self.sim.now,
-                )
-            else:
-                out = Packet(
-                    self.host.addr,
-                    victim,
-                    size,
-                    true_src=self.host.addr,
-                    flow=("attack", self.host.addr),
-                    created_at=self.sim.now,
-                )
+            out = Packet(
+                self.host.addr,
+                victim,
+                size,
+                true_src=self.host.addr,
+                flow=("attack", self.host.addr),
+                created_at=self.sim.now,
+            )
             self.packets_reflected += 1
             self.host.originate(out)

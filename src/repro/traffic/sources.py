@@ -139,30 +139,18 @@ class CBRSource:
 
     # ------------------------------------------------------------------
     def _send_packet(self) -> None:
-        """Build (or recycle) and originate one packet at ``sim.now``."""
+        """Build and originate one packet at ``sim.now``."""
         dst = self._dst() if callable(self._dst) else self._dst
         src = self.host.addr if self.src_fn is None else self.src_fn()
-        pool = self.sim.packet_pool
-        if pool is not None:
-            pkt = pool.acquire(
-                src,
-                dst,
-                self.packet_size,
-                true_src=self.host.addr,
-                flow=self.flow,
-                kind=self.kind,
-                created_at=self.sim.now,
-            )
-        else:
-            pkt = Packet(
-                src,
-                dst,
-                self.packet_size,
-                true_src=self.host.addr,
-                flow=self.flow,
-                kind=self.kind,
-                created_at=self.sim.now,
-            )
+        pkt = Packet(
+            src,
+            dst,
+            self.packet_size,
+            true_src=self.host.addr,
+            flow=self.flow,
+            kind=self.kind,
+            created_at=self.sim.now,
+        )
         self.host.originate(pkt)
         self.packets_sent += 1
 

@@ -1,11 +1,10 @@
-"""Fast-path safety: packet recycling, event freelist, live pending,
-timer-jitter clamp accounting, and batched CBR generation.
+"""Fast-path safety: event freelist, live pending, timer-jitter clamp
+accounting, and batched CBR generation.
 
 The perf machinery must be invisible to simulation semantics:
 
-* a recycled :class:`~repro.sim.packet.Packet` carries no stale header
-  state (``mark``/``ttl``/``hops``/``payload``) and uid sequences are
-  identical with and without the pool;
+* a recycled :class:`~repro.sim.engine.Event` is reissued only after
+  its callback has run;
 * ``Simulator.pending(live=True)`` tracks lazy cancellation exactly;
 * jitter clamps in :class:`~repro.sim.engine.Timer` are counted on the
   simulator and the bound metrics registry;
@@ -19,122 +18,8 @@ import pytest
 
 from repro.obs.registry import MetricsRegistry
 from repro.sim.engine import Simulator
-from repro.sim.link import Link
 from repro.sim.node import Host
-from repro.sim.packet import Packet, PacketKind, PacketPool
 from repro.traffic.sources import CBRSource
-
-
-class TestPacketPool:
-    def test_recycled_packet_has_no_stale_state(self):
-        pool = PacketPool()
-        pkt = pool.acquire(1, 2, 100, flow=("f", 1), payload=object())
-        pkt.mark = 77
-        pkt.ttl = 3
-        pkt.hops = 9
-        pool.release(pkt)
-        again = pool.acquire(5, 6, 200)
-        assert again is pkt  # actually recycled
-        assert again.mark == 0
-        assert again.ttl == 255
-        assert again.hops == 0
-        assert again.payload is None
-        assert again.flow is None
-        assert again.src == 5 and again.dst == 6 and again.size == 200
-        assert again.true_src == 5
-
-    def test_uid_sequence_identical_with_and_without_pool(self):
-        pool = PacketPool()
-        a = pool.acquire(1, 2, 10)
-        first_uid = a.uid
-        pool.release(a)
-        b = pool.acquire(1, 2, 10)  # reused object, fresh uid
-        c = Packet(1, 2, 10)
-        assert b is a
-        assert b.uid == first_uid + 1
-        assert c.uid == first_uid + 2
-
-    def test_release_is_idempotent(self):
-        pool = PacketPool()
-        pkt = pool.acquire(1, 2, 10)
-        pool.release(pkt)
-        pool.release(pkt)
-        assert len(pool) == 1
-        assert pool.recycled == 1
-
-    def test_max_free_caps_retention(self):
-        pool = PacketPool(max_free=2)
-        pkts = [Packet(1, 2, 10) for _ in range(4)]
-        for p in pkts:
-            pool.release(p)
-        assert len(pool) == 2
-
-    def test_stats_shape(self):
-        pool = PacketPool()
-        pool.release(pool.acquire(1, 2, 10))
-        pool.acquire(1, 2, 10)
-        s = pool.stats()
-        assert s == {"created": 1, "reused": 1, "recycled": 1, "free": 0}
-
-
-class TestPoolEndpoints:
-    def _net(self, pool, qlimit=50):
-        sim = Simulator(packet_pool=pool)
-        a, b = Host(sim, 1), Host(sim, 2)
-        Link(sim, a, b, bandwidth_bps=8e6, delay=0.001, queue_limit=qlimit)
-        a.routes[2] = a.out_channels[0]
-        return sim, a, b
-
-    def test_host_delivery_releases_data_packets(self):
-        pool = PacketPool()
-        sim, a, b = self._net(pool)
-        seen = []
-        b.on_deliver(lambda p: seen.append((p.uid, p.src, p.size)))
-        a.originate(pool.acquire(1, 2, 100, created_at=sim.now))
-        sim.run()
-        assert len(seen) == 1 and seen[0][1:] == (1, 100)
-        assert pool.recycled == 1 and len(pool) == 1
-
-    def test_control_packets_not_released(self):
-        pool = PacketPool()
-        sim, a, b = self._net(pool)
-        pkt = pool.acquire(1, 2, 64, kind=PacketKind.CONTROL)
-        a.originate(pkt)
-        sim.run()
-        assert pool.recycled == 0
-        assert not pkt._in_pool  # payload may outlive delivery
-
-    def test_tail_drop_releases_packet(self):
-        pool = PacketPool()
-        # 8 kb/s: each 100 B packet serializes for 0.1 s, so back-to-back
-        # sends overflow a 1-packet queue immediately.
-        sim = Simulator(packet_pool=pool)
-        a, b = Host(sim, 1), Host(sim, 2)
-        Link(sim, a, b, bandwidth_bps=8e3, delay=0.001, queue_limit=1)
-        a.routes[2] = a.out_channels[0]
-        ch = a.out_channels[0]
-        sent = [pool.acquire(1, 2, 100) for _ in range(4)]
-        results = [ch.send(p) for p in sent]
-        assert results == [True, True, False, False]
-        assert pool.recycled == 2  # the two tail-dropped packets
-        sim.run()
-        assert ch.packets_dropped == 2
-
-    def test_delivery_consumers_see_valid_fields_under_recycling(self):
-        """Heavy recycling: every delivered packet carries exactly the
-        fields its source set — no leakage from previous lives."""
-        pool = PacketPool(max_free=4)
-        sim, a, b = self._net(pool)
-        seen = []
-        b.on_deliver(lambda p: seen.append((p.src, p.dst, p.size, p.mark, p.hops)))
-        rng = random.Random(9)
-        src = CBRSource(sim, a, dst=2, rate_bps=8e5, packet_size=100,
-                        jitter=0.2, rng=rng)
-        src.start()
-        sim.run(until=1.0)
-        assert len(seen) > 100
-        assert all(s == (1, 2, 100, 0, 1) for s in seen)
-        assert pool.reused > 0
 
 
 class TestLivePending:
@@ -200,13 +85,6 @@ class TestEventFreelist:
         ev = sim.schedule(1.0, lambda: None)
         assert ev is first  # reissued from the freelist
         sim.run()
-
-    def test_freelist_disabled_by_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EVENT_FREELIST", "0")
-        sim = Simulator()
-        sim.schedule(1.0, lambda: None)
-        sim.run()
-        assert not sim._free
 
     def test_timer_self_cancel_during_fire_is_safe(self):
         sim = Simulator()

@@ -48,20 +48,19 @@ GOLDEN_POINTS = {
 }
 
 # SHA-256 over canonical JSON (sort_keys) of result_to_dict(...).
-# Last regenerated for the sharded-execution PR: the params dict gained
-# the sharding knobs (shards, shard_exec, rng_discipline).  Every
-# simulation value — capture times, throughput curves, event counts —
-# is unchanged; the sharded identity suite (test_shard.py) proves the
-# journal bytes are too.
+# Last regenerated when the sharded engine was removed: the params dict
+# lost its three sharding fields.  Every simulation value — capture
+# times, throughput curves, event counts — is unchanged; re-inserting
+# those fields with their defaults reproduces the previous digests.
 GOLDEN_DIGESTS = {
     "fig8/honeypot-even": (
-        "b0ca74d6734577edeea4d96cb2798ca9766103292b38a3159b680cbbb64faa69"
+        "b5e69121db5991e7d0aebc816be576d533e2506b765df40f4a06f795e1f699b7"
     ),
     "fig10/pushback-close": (
-        "129336fa0bcd5bc3ecff7b2d215eb4de6ab9b9893d449c7b521d1751287df0d2"
+        "738aac9a8d80de48762f4f5fab23091de1d184a1b485fff7e2ba2cfe37faec88"
     ),
     "fig11/none-halfrate": (
-        "02a965497d50bcf5a1accc6cb068a8caaf59871f8c5f31c547cbc65e6dd4abc6"
+        "3e9c188bda9ab8b186a10ecc9c184111f56d1dc0e01d1db59c6510e0a59a98bc"
     ),
 }
 

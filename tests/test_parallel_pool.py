@@ -8,9 +8,12 @@ reference.
 import json
 import os
 import time
+from dataclasses import replace
 
 import pytest
 
+from repro.experiments.runner import replicate_scenario, result_to_dict
+from repro.experiments.scenarios import TreeScenarioParams
 from repro.parallel import (
     PARTIAL_FAILURE_EXIT,
     PoolConfig,
@@ -265,6 +268,53 @@ class TestCheckpoint:
             data = json.loads(path.read_text())
             assert data["schema"] == "repro.parallel/1"
             assert len(data["outcomes"]) == i + 1
+
+
+class TestCheckpointParams:
+    """A checkpointed outcome is reused only under the params it was
+    recorded with: ids like ``seed=0`` do not encode the base params."""
+
+    BASE = TreeScenarioParams(
+        n_leaves=20,
+        n_attackers=3,
+        epoch_len=2.0,
+        duration=5.0,
+        attack_start=1.0,
+        attack_end=4.0,
+    )
+
+    def test_changed_params_rerun_instead_of_resuming(self, tmp_path):
+        path = tmp_path / "ck.json"
+        (first,) = replicate_scenario(
+            self.BASE, seeds=[0], checkpoint=SweepCheckpoint(path)
+        )
+        assert first.params.defense == "honeypot"
+        (second,) = replicate_scenario(
+            replace(self.BASE, defense="none"),
+            seeds=[0],
+            checkpoint=SweepCheckpoint(path),
+        )
+        assert second.params.defense == "none"
+        assert second.capture_times == {}
+        stored = SweepCheckpoint(path).get("seed=0")
+        assert stored["value"]["result"]["params"]["defense"] == "none"
+
+    def test_outcome_with_retired_params_fields_is_rerun(self, tmp_path):
+        path = tmp_path / "ck.json"
+        (fresh,) = replicate_scenario(
+            self.BASE, seeds=[0], checkpoint=SweepCheckpoint(path)
+        )
+        # A checkpoint written while the params carried a field that no
+        # longer exists must not reach TreeScenarioParams(**params).
+        data = json.loads(path.read_text())
+        data["outcomes"]["seed=0"]["value"]["result"]["params"]["shards"] = 0
+        path.write_text(json.dumps(data))
+        (again,) = replicate_scenario(
+            self.BASE, seeds=[0], checkpoint=SweepCheckpoint(path)
+        )
+        assert result_to_dict(again) == result_to_dict(fresh)
+        stored = SweepCheckpoint(path).get("seed=0")
+        assert "shards" not in stored["value"]["result"]["params"]
 
 
 class TestSweepCommandExitCodes:

@@ -10,15 +10,11 @@ from hypothesis import given, settings, strategies as st
 from repro.cli import main
 from repro.obs import Journal
 from repro.obs.shardplan import (
-    LOOKAHEAD_UNBOUNDED,
-    SHARDCONFIG_SCHEMA,
     SHARDPLAN_SCHEMA,
     ShardPlanError,
     assign_shards,
-    emit_shard_config,
     render_shardplan,
     shard_plan,
-    validate_shard_config,
     validate_shardplan,
 )
 
@@ -121,70 +117,6 @@ class TestShardPlan:
         assert "as1->as2" in text
         assert "lookahead" in text
 
-    def test_no_cross_edges_summary_clamps_to_sentinel(self):
-        # The degenerate case: a plan with no cross-shard edges has no
-        # lookahead constraint at all.  The artifact keeps the honest
-        # null, but the validated summary clamps it to the explicit
-        # sentinel so consumers never confuse "unconstrained" with a
-        # missing value.
-        j = Journal(clock=lambda: 0.0)
-        root = j.record("x", at=0.0)
-        j.record("y", parent=root, at=1.0)
-        doc = shard_plan(j, by="as")
-        assert doc["lookahead"] is None  # artifact stays null
-        summary = validate_shardplan(doc)
-        assert summary["lookahead"] == LOOKAHEAD_UNBOUNDED
-        assert summary["cross_edges"] == 0
-
-
-class TestShardConfig:
-    def test_emit_groups_every_label_and_pins_core(self):
-        plan = shard_plan(make_as_journal(), by="as")
-        config = emit_shard_config(plan, 2)
-        assert config["schema"] == SHARDCONFIG_SCHEMA
-        assert config["n_shards"] == 2
-        assert set(config["groups"]) == {"core", "as1", "as2"}
-        assert config["groups"]["core"] == 0
-        assert all(0 <= g < 2 for g in config["groups"].values())
-        assert config["lookahead"] == pytest.approx(0.5)
-
-    def test_emit_balances_by_work(self):
-        plan = shard_plan(make_as_journal(), by="as")
-        config = emit_shard_config(plan, 3)
-        # The two work-bearing subtrees never share a group when there
-        # is room to separate them.
-        assert config["groups"]["as1"] != config["groups"]["as2"]
-
-    def test_emit_carries_unbounded_sentinel(self):
-        j = Journal(clock=lambda: 0.0)
-        root = j.record("x", at=0.0)
-        j.record("y", parent=root, at=1.0)
-        config = emit_shard_config(shard_plan(j, by="as"), 2)
-        assert config["lookahead"] == LOOKAHEAD_UNBOUNDED
-
-    def test_emit_rejects_bad_counts(self):
-        plan = shard_plan(make_as_journal(), by="as")
-        with pytest.raises(ShardPlanError):
-            emit_shard_config(plan, 0)
-
-    def test_validate_roundtrip_and_tampering(self):
-        config = emit_shard_config(shard_plan(make_as_journal(), by="as"), 2)
-        summary = validate_shard_config(config)
-        assert summary["n_shards"] == 2
-        assert summary["labels"] == 3
-        with pytest.raises(ShardPlanError):
-            validate_shard_config({**config, "schema": "repro.shardconfig/0"})
-        with pytest.raises(ShardPlanError):
-            validate_shard_config({**config, "groups": {}})
-        with pytest.raises(ShardPlanError):
-            validate_shard_config(
-                {**config, "groups": {**config["groups"], "core": 1}}
-            )
-        with pytest.raises(ShardPlanError):
-            validate_shard_config(
-                {**config, "groups": {**config["groups"], "as1": 7}}
-            )
-
 
 @st.composite
 def attr_journals(draw):
@@ -262,25 +194,3 @@ class TestShardPlanCli:
     def test_unknown_mode_fails_cleanly(self, tmp_path, capsys):
         path = make_as_journal().write_jsonl(tmp_path / "j.jsonl")
         assert main(["shardplan", str(path), "--by", "galaxy"]) != 0
-
-    def test_emit_config_writes_consumable_assignment(self, tmp_path, capsys):
-        path = make_as_journal().write_jsonl(tmp_path / "j.jsonl")
-        out = tmp_path / "shards.json"
-        assert (
-            main(
-                [
-                    "shardplan",
-                    str(path),
-                    "--by",
-                    "as",
-                    "--emit-config",
-                    str(out),
-                    "--shards",
-                    "2",
-                ]
-            )
-            == 0
-        )
-        assert "shard config written to" in capsys.readouterr().out
-        doc = json.loads(out.read_text())
-        assert validate_shard_config(doc)["n_shards"] == 2
