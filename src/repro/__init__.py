@@ -29,7 +29,7 @@ Packages
 ``repro.experiments``
     Scenario builders and batch runners for every figure.
 ``repro.obs``
-    Unified observability: metrics registry, span timelines,
+    Unified observability: metrics registry, causal event journal,
     simulator self-profiling, and run-artifact exporters.
 """
 

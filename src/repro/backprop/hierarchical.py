@@ -172,8 +172,6 @@ class HierarchicalBackprop:
         self.sim: Simulator = topo.network.sim
         self.epoch_len = epoch_len
         self.telemetry = telemetry
-        # asn -> open "as_session" span (telemetry only).
-        self._as_spans: Dict[int, object] = {}
         # asn -> "as_session_open" journal event (telemetry only).
         self._as_journal: Dict[int, object] = {}
         # 1-based epochs during which the server acts as a honeypot;
@@ -207,6 +205,9 @@ class HierarchicalBackprop:
         # asn -> downstream asn the active session came from.
         self._session_from: Dict[int, Optional[int]] = {}
         self._sessions: Dict[int, int] = {}  # asn -> epoch
+        # epoch -> frontier ASs whose session the server resumed
+        # directly; each is a root of that epoch's session trees.
+        self._resumed: Dict[int, List[int]] = {}
         self._wire()
 
     # ------------------------------------------------------------------
@@ -276,12 +277,9 @@ class HierarchicalBackprop:
             self._triggered_epoch = epoch
             tele = self.telemetry
             if tele is not None:
-                root = tele.open_session(self.topo.server.addr, epoch)
-                tele.spans.event("honeypot_hit", parent=root, hits=self._count)
-                tele.spans.event("session_open", parent=root)
                 tele.journal.record(
                     "honeypot_hit",
-                    parent=tele.journal_root(self.topo.server.addr, epoch),
+                    parent=tele.open_session(self.topo.server.addr, epoch),
                     server=self.topo.server.addr,
                     hits=self._count,
                 )
@@ -301,13 +299,16 @@ class HierarchicalBackprop:
                 honeypot=self._is_honeypot_epoch(epoch),
             )
         prev = epoch - 1
+        roots = self._resumed.pop(prev, [])
         if self._triggered_epoch == prev:
-            # Fig. 2(c): cancel the session tree of the ended epoch.
-            msg = HoneypotCancel(self.topo.server.addr, prev, origin_as=-1)
-            self.topo.server.send_control(
-                self.topo.sites[self.topo.victim_asn].hsm.addr, msg
-            )
+            roots.insert(0, self.topo.victim_asn)
             self._triggered_epoch = None
+        if roots:
+            # Fig. 2(c): cancel the session trees of the ended epoch,
+            # the victim AS's and every progressively resumed one.
+            for asn in roots:
+                msg = HoneypotCancel(self.topo.server.addr, prev, origin_as=-1)
+                self.topo.server.send_control(self.topo.sites[asn].hsm.addr, msg)
             if self.telemetry is not None:
                 self.telemetry.close_session(self.topo.server.addr, prev)
         if self.progressive:
@@ -334,11 +335,6 @@ class HierarchicalBackprop:
             tele = self.telemetry
             if tele is not None:
                 tele.registry.counter("backprop_progressive_resumes_total").inc()
-                tele.spans.event(
-                    "progressive_resume",
-                    parent=tele.session_span(self.topo.server.addr, epoch),
-                    asn=asn,
-                )
                 tele.journal.record(
                     "progressive_resume",
                     parent=tele.journal_root(self.topo.server.addr, epoch),
@@ -346,6 +342,7 @@ class HierarchicalBackprop:
                 )
             msg = HoneypotRequest(self.topo.server.addr, epoch, origin_as=-1)
             self.topo.server.send_control(self.topo.sites[asn].hsm.addr, msg)
+            self._resumed.setdefault(epoch, []).append(asn)
 
     # ------------------------------------------------------------------
     # HSM behaviour
@@ -389,14 +386,9 @@ class HierarchicalBackprop:
         site.hsm.reset(honeypot_addr)
         tele = self.telemetry
         if tele is not None:
-            root = tele.open_session(honeypot_addr, epoch)
-            self._as_spans[asn] = tele.spans.start(
-                "as_session", parent=root, asn=asn,
-                from_as=-1 if from_as is None else from_as,
-            )
             self._as_journal[asn] = tele.journal.record(
                 "as_session_open",
-                parent=tele.journal_root(honeypot_addr, epoch),
+                parent=tele.open_session(honeypot_addr, epoch),
                 asn=asn,
                 from_as=-1 if from_as is None else from_as,
             )
@@ -408,10 +400,6 @@ class HierarchicalBackprop:
             if nbr != from_as:
                 agent.announce(honeypot_addr)
                 if tele is not None:
-                    tele.spans.event(
-                        "diversion", parent=self._as_spans.get(asn),
-                        asn=asn, neighbor=nbr,
-                    )
                     tele.journal.record(
                         "hsm_diversion",
                         parent=self._as_journal.get(asn),
@@ -430,9 +418,6 @@ class HierarchicalBackprop:
         del self._sessions[asn]
         site = self.topo.sites[asn]
         if self.telemetry is not None:
-            span = self._as_spans.pop(asn, None)
-            if span is not None:
-                self.telemetry.spans.end(span)
             ev = self._as_journal.pop(asn, None)
             if ev is not None:
                 self.telemetry.journal.record(
@@ -503,13 +488,6 @@ class HierarchicalBackprop:
             self.messages["inter_requests"] += 1
             tele = self.telemetry
             if tele is not None:
-                parent = self._as_spans.get(asn)
-                tele.spans.event(
-                    "ingress_identified", parent=parent, asn=asn, upstream=upstream
-                )
-                tele.spans.event(
-                    "inter_as_hop", parent=parent, from_as=asn, to_as=upstream
-                )
                 ev_parent = self._as_journal.get(asn)
                 tele.journal.record(
                     "ingress_identified", parent=ev_parent, asn=asn,

@@ -189,8 +189,6 @@ class InterASBackprop:
         self.sim = sim or Simulator()
         self.server_index = server_index
         self.telemetry = telemetry
-        # (asn, epoch) -> open "as_session" span (telemetry only).
-        self._as_spans: Dict[Tuple[int, int], object] = {}
         # (asn, epoch) -> "as_session_open" journal event (telemetry only).
         self._as_journal: Dict[Tuple[int, int], object] = {}
 
@@ -338,9 +336,6 @@ class InterASBackprop:
                 self.telemetry.registry.counter(
                     "backprop_progressive_resumes_total"
                 ).inc()
-                self.telemetry.spans.event(
-                    "progressive_resume", asn=asn, epoch=next_epoch
-                )
                 self.telemetry.journal.record(
                     "progressive_resume", asn=asn, epoch=next_epoch
                 )
@@ -387,14 +382,9 @@ class InterASBackprop:
         self._children.setdefault(key, set())
         tele = self.telemetry
         if tele is not None:
-            root = tele.open_session(VICTIM_ADDR, epoch)
-            self._as_spans[key] = tele.spans.start(
-                "as_session", parent=root, asn=asn,
-                from_as=-1 if from_as is None else from_as,
-            )
             open_ev = tele.journal.record(
                 "as_session_open",
-                parent=tele.journal_root(VICTIM_ADDR, epoch),
+                parent=tele.open_session(VICTIM_ADDR, epoch),
                 asn=asn,
                 from_as=-1 if from_as is None else from_as,
             )
@@ -457,13 +447,6 @@ class InterASBackprop:
         key = (asn, epoch)
         tele = self.telemetry
         if tele is not None:
-            parent = self._as_spans.get(key)
-            tele.spans.event(
-                "ingress_identified", parent=parent, asn=asn, upstream=upstream
-            )
-            tele.spans.event(
-                "inter_as_hop", parent=parent, from_as=asn, to_as=upstream
-            )
             ev_parent = self._as_journal.get(key)
             tele.journal.record(
                 "ingress_identified", parent=ev_parent, asn=asn,
@@ -528,12 +511,6 @@ class InterASBackprop:
                 max(now, self.schedule.start_time) + 1e-9
             )
             tele.registry.counter("backprop_captures_total").inc()
-            tele.spans.event(
-                "port_close",
-                parent=self._as_spans.get((asn, epoch)),
-                host=attacker_id,
-                asn=asn,
-            )
             tele.journal.record(
                 "port_close",
                 parent=self._as_journal.get((asn, epoch)),
@@ -551,12 +528,9 @@ class InterASBackprop:
             retired = {k for k in self._alive if k[0] == asn}
             self._alive -= retired
             if self.telemetry is not None:
-                # Sorted so span-close order (and span ids downstream)
+                # Sorted so close order (and event ids downstream)
                 # never depends on set iteration order.
                 for key in sorted(retired):
-                    span = self._as_spans.pop(key, None)
-                    if span is not None:
-                        self.telemetry.spans.end(span, captured=True)
                     ev = self._as_journal.pop(key, None)
                     if ev is not None:
                         self.telemetry.journal.record(
@@ -602,9 +576,6 @@ class InterASBackprop:
         self._alive.discard(key)
         self._children.pop(key, None)
         if self.telemetry is not None:
-            span = self._as_spans.pop(key, None)
-            if span is not None:
-                self.telemetry.spans.end(span)
             ev = self._as_journal.pop(key, None)
             if ev is not None:
                 self.telemetry.journal.record(

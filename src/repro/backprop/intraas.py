@@ -78,7 +78,6 @@ class BackpropRouterAgent:
         self.on_capture = on_capture
         self.telemetry = telemetry
         self.sessions: Dict[int, HoneypotSession] = {}
-        self._session_spans: Dict[int, Any] = {}
         self._session_events: Dict[int, Any] = {}
         self.port_filter = PortBlockFilter()
         self.captures: List[CaptureRecord] = []
@@ -137,12 +136,6 @@ class BackpropRouterAgent:
         tele = self.telemetry
         if tele is not None:
             tele.registry.counter("backprop_hop_relays_total").inc()
-            tele.spans.event(
-                "hop_relay",
-                parent=self._session_spans.get(sess.honeypot_addr),
-                router=self.router.addr,
-                upstream=in_channel.src.addr,
-            )
             tele.journal.record(
                 "hop_relay",
                 parent=self._session_events.get(sess.honeypot_addr),
@@ -166,12 +159,6 @@ class BackpropRouterAgent:
             tele = self.telemetry
             if tele is not None:
                 tele.registry.counter("backprop_captures_total").inc()
-                tele.spans.event(
-                    "port_close",
-                    parent=self._session_spans.get(sess.honeypot_addr),
-                    host=record.host_addr,
-                    access_router=record.access_router_addr,
-                )
                 tele.journal.record(
                     "port_close",
                     parent=self._session_events.get(sess.honeypot_addr),
@@ -196,24 +183,14 @@ class BackpropRouterAgent:
             )
             tele = self.telemetry
             if tele is not None:
-                stale = self._session_spans.pop(msg.honeypot_addr, None)
+                stale = self._session_events.pop(msg.honeypot_addr, None)
                 if stale is not None:  # replaced without a cancel
-                    tele.spans.end(stale)
-                stale_ev = self._session_events.pop(msg.honeypot_addr, None)
-                if stale_ev is not None:
                     tele.journal.record(
-                        "intra_session_close", parent=stale_ev, replaced=True
+                        "intra_session_close", parent=stale, replaced=True
                     )
-                root = tele.open_session(msg.honeypot_addr, msg.epoch)
-                self._session_spans[msg.honeypot_addr] = tele.spans.start(
-                    "intra_input_debugging",
-                    parent=root,
-                    router=self.router.addr,
-                    epoch=msg.epoch,
-                )
                 self._session_events[msg.honeypot_addr] = tele.journal.record(
                     "intra_session_open",
-                    parent=tele.journal_root(msg.honeypot_addr, msg.epoch),
+                    parent=tele.open_session(msg.honeypot_addr, msg.epoch),
                     router=self.router.addr,
                     epoch=msg.epoch,
                 )
@@ -229,9 +206,6 @@ class BackpropRouterAgent:
             return
         tele = self.telemetry
         if tele is not None:
-            span = self._session_spans.pop(msg.honeypot_addr, None)
-            if span is not None:
-                tele.spans.end(span, ingress_ports=len(sess.ingress_counts))
             ev = self._session_events.pop(msg.honeypot_addr, None)
             if ev is not None:
                 tele.journal.record(
@@ -316,18 +290,11 @@ class HoneypotServerAgent:
         ):
             self._requested_epoch = epoch
             if tele is not None:
-                root = tele.open_session(
-                    self.server.addr, epoch, server_index=self.server_index
-                )
-                tele.spans.event(
-                    "honeypot_hit",
-                    parent=root,
-                    hits=self._count_this_epoch,
-                )
-                tele.spans.event("session_open", parent=root)
                 tele.journal.record(
                     "honeypot_hit",
-                    parent=tele.journal_root(self.server.addr, epoch),
+                    parent=tele.open_session(
+                        self.server.addr, epoch, server_index=self.server_index
+                    ),
                     server=self.server.addr,
                     hits=self._count_this_epoch,
                 )

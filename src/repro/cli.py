@@ -31,11 +31,11 @@ Usage::
 ``--metrics-out FILE`` on a figure command (and on ``stats`` and
 ``sweep``) attaches the :mod:`repro.obs` telemetry layer to the
 simulation runs and writes the machine-readable run artifact — metrics
-registry, span timelines, causal event journal, and engine
-self-profile — as JSON.  ``--journal-out FILE`` writes just the causal
-event journal in its canonical JSONL form (``repro.journal/1``).
-``stats`` runs the standard quick scenario under full observability
-and prints the human-readable telemetry dump.
+registry, causal event journal, and engine self-profile — as JSON.
+``--journal-out FILE`` writes just the causal event journal in its
+canonical JSONL form (``repro.journal/1``).  ``stats`` runs the
+standard quick scenario under full observability and prints the
+human-readable telemetry dump, session timelines included.
 
 ``--stream-out FILE`` (on ``stats``) and ``--stream-dir DIR`` (on the
 figure and ``sweep`` commands) arm the in-run telemetry streamer: the
@@ -121,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="FILE",
             default=None,
             help="instrument the runs with repro.obs and write the "
-            "telemetry artifact (metrics + spans + engine profile) as JSON",
+            "telemetry artifact (metrics + journal + engine profile) as JSON",
         )
         p.add_argument(
             "--journal-out",

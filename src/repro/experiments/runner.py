@@ -128,7 +128,7 @@ def run_scenario_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     stream; when telemetry is requested the worker builds its
     own :class:`~repro.obs.Telemetry` and ships the artifact dict back
     for the parent to merge (a live telemetry cannot cross the process
-    boundary — its span clock closes over the worker's simulator).
+    boundary — its journal clock closes over the worker's simulator).
     The run is bracketed with ``pool_task_start`` / ``pool_task_finish``
     journal events, mirrored exactly by :func:`run_many`'s serial path
     so serial and pool journals stay byte-identical.
@@ -426,7 +426,7 @@ def run_sweep(
     ``report.exit_code`` reflects partial failure.  With a
     ``telemetry``, every task is instrumented and worker artifacts are
     absorbed in *task* order (never completion order), so the merged
-    metrics/spans/journal match a serial instrumented sweep.  With a
+    metrics/journal match a serial instrumented sweep.  With a
     ``stream`` dict every task writes a live ``<task>.stream.jsonl``
     under ``stream["dir"]`` and the supervisor maintains the merged
     ``pool.status.json`` there (watch with ``repro watch DIR``).

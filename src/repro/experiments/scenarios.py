@@ -216,10 +216,10 @@ def run_tree_scenario(
     """Build, run, and measure one tree-scenario simulation.
 
     ``telemetry`` (a :class:`repro.obs.Telemetry` or None) turns on the
-    unified observability layer: the defense emits lifecycle spans, the
-    monitor counts per-class deliveries, the engine self-profiles, and
-    the network's counters are snapshotted into the registry after the
-    run.  With None (the default) nothing is instrumented.
+    unified observability layer: the defense journals its lifecycle
+    events, the monitor counts per-class deliveries, the engine
+    self-profiles, and the network's counters are snapshotted into the
+    registry after the run.  With None (the default) nothing is instrumented.
 
     ``stream`` (a :class:`repro.obs.stream.StreamConfig` or None) adds
     live in-run snapshots: a :class:`~repro.obs.stream.TelemetryStreamer`

@@ -1,11 +1,12 @@
-"""repro.obs — unified observability: metrics, spans, self-profiling.
+"""repro.obs — unified observability: metrics, journal, self-profiling.
 
 The measurement layer under every experiment: a labeled
 :class:`MetricsRegistry` (counters / gauges / fixed-bucket histograms),
-a :class:`SpanRecorder` that captures the defense lifecycle as
-parent/child span timelines, an :class:`EngineProfiler` for simulator
-self-profiling, and exporters (JSON / CSV / Prometheus text) so every
-run can leave a machine-readable artifact.
+a causal :class:`Journal` that records the defense lifecycle as one
+event tree per honeypot session (the text gantt of
+:func:`render_timeline` is derived from it), an :class:`EngineProfiler`
+for simulator self-profiling, and exporters (JSON / CSV / Prometheus
+text) so every run can leave a machine-readable artifact.
 
 :class:`Telemetry` bundles the four and is what scenarios, defenses,
 and benchmarks thread through the stack; components treat a ``None``
@@ -51,6 +52,7 @@ from .journal import (
     diff_journals,
     load_journal,
     render_html,
+    render_timeline,
     render_tree,
     replay_summary,
 )
@@ -77,7 +79,6 @@ from .shardplan import (
     shard_plan,
     validate_shardplan,
 )
-from .spans import Span, SpanRecorder
 from .stream import (
     STREAM_SCHEMA,
     StreamConfig,
@@ -124,8 +125,6 @@ __all__ = [
     "SHARDPLAN_SCHEMA",
     "STREAM_SCHEMA",
     "ShardPlanError",
-    "Span",
-    "SpanRecorder",
     "StreamConfig",
     "StreamError",
     "TRACE_SCHEMA",
@@ -150,6 +149,7 @@ __all__ = [
     "render_html",
     "render_pool_view",
     "render_snapshot",
+    "render_timeline",
     "render_tree",
     "replay_summary",
     "resolve_stream_interval",

@@ -3,12 +3,13 @@
 The paper's defense is a cascade — honeypot hit, session open, HSM
 diversion, ingress-edge identification, inter-AS hops, intra-AS input
 debugging, port close, progressive resume — and validating a run means
-asking *what happened, after what, and is that order identical across
-runs and workers?*  Spans (:mod:`repro.obs.spans`) answer *when*; the
-journal answers *why-after-what*: an append-only log of
-:class:`JournalEvent` records with monotonically-assigned ids,
-simulation timestamps, and **causal parent links** forming one tree
-per honeypot session.
+asking *what happened, when, after what, and is that order identical
+across runs and workers?*  The journal answers all of it: an
+append-only log of :class:`JournalEvent` records with
+monotonically-assigned ids, simulation timestamps, and **causal parent
+links** forming one tree per honeypot session.  It is the run's only
+event record; timelines, traces and critical paths are derived from
+it.
 
 Determinism contract (the regression tests diff this byte-for-byte):
 
@@ -24,7 +25,8 @@ The replay half of the module reconstructs and checks the causal tree
 from the serialized journal alone: :func:`build_tree` validates the
 parent links, :func:`diff_journals` names the first diverging event
 between two journals, :func:`render_tree` / :func:`render_html` render
-the per-session traceback tree, and :func:`replay_summary` condenses a
+the per-session traceback tree, :func:`render_timeline` draws each
+session as a text gantt, and :func:`replay_summary` condenses a
 journal into the cascade's headline counts.
 """
 
@@ -57,6 +59,7 @@ __all__ = [
     "diff_journals",
     "load_journal",
     "render_html",
+    "render_timeline",
     "render_tree",
     "replay_summary",
 ]
@@ -428,6 +431,61 @@ def render_tree(journal: Journal, max_events: Optional[int] = None) -> str:
         for child in reversed(children.get(event.event_id, [])):
             stack.append((child, depth + 1))
     return "\n".join(lines)
+
+
+def render_timeline(journal: Journal, width: int = 40) -> str:
+    """Text gantt of every honeypot session: one block per tree rooted
+    at ``session_open``, one row per event in id (= time) order.
+
+    An ``X_open`` event is a bar that ends at its ``X_close`` child,
+    whose attrs join the row's label; the close gets no row of its own,
+    and an open without one shows as still open.  Every other event
+    (``port_close`` included) is a ``*`` marker at its time.
+    """
+    roots, children = build_tree(journal)
+    lines: List[str] = []
+    for root in roots:
+        if root.name != "session_open":
+            continue
+        subtree: List[Tuple[JournalEvent, int]] = []
+        closes: Dict[int, JournalEvent] = {}
+        stack: List[Tuple[JournalEvent, int]] = [(root, 0)]
+        while stack:
+            event, depth = stack.pop()
+            subtree.append((event, depth))
+            kids = children.get(event.event_id, [])
+            stack.extend((child, depth + 1) for child in kids)
+            if event.name.endswith("_open"):
+                close_name = event.name[: -len("open")] + "close"
+                close = next((c for c in kids if c.name == close_name), None)
+                if close is not None:
+                    closes[event.event_id] = close
+        subtree.sort(key=lambda item: item[0].event_id)
+        close_ids = {c.event_id for c in closes.values()}
+        t0 = root.time
+        extent = max(max(e.time for e, _ in subtree) - t0, 1e-12)
+        for event, depth in subtree:
+            if event.event_id in close_ids:
+                continue
+            close = closes.get(event.event_id)
+            attrs = dict(event.attrs)
+            left = min(int(width * (event.time - t0) / extent), width - 1)
+            if close is not None:
+                attrs.update(close.attrs)
+                bar_w = max(1, int(width * (close.time - event.time) / extent))
+                bar = " " * left + "#" * min(bar_w, width - left)
+                times = f"{event.time:9.3f} -> {close.time:9.3f}"
+            elif event.name.endswith("_open"):
+                bar = (" " * left + "#...")[:width]
+                times = f"{event.time:9.3f} ->   (open)"
+            else:
+                bar = " " * left + "*"
+                times = f"{event.time:9.3f}"
+            text = _attr_text(attrs)
+            label = f"{'  ' * depth}{event.name}" + (f" [{text}]" if text else "")
+            lines.append(f"{label:<44s} {times:>24s} |{bar:<{width}s}|")
+        lines.append("")
+    return "\n".join(lines).rstrip("\n")
 
 
 def replay_summary(journal: Journal) -> str:

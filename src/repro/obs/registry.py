@@ -34,7 +34,7 @@ __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
 ]
 
-# Seconds; spans capture latencies from milliseconds (one intra-AS hop)
+# Seconds; the buckets cover latencies from milliseconds (one intra-AS hop)
 # to minutes (progressive capture of low-rate attackers).
 DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = (
     0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 30.0, 60.0, 300.0

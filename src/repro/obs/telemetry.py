@@ -1,4 +1,4 @@
-"""The unified telemetry hub: registry + spans + engine profile.
+"""The unified telemetry hub: registry + journal + engine profile.
 
 A :class:`Telemetry` object is the single thing a scenario, defense, or
 benchmark threads through the stack.  Components take an optional
@@ -6,22 +6,21 @@ benchmark threads through the stack.  Components take an optional
 None`` — a run without telemetry constructs no objects and executes no
 instrumentation, so the disabled path costs nothing in the hot loop.
 
-The hub also owns the *session-span index*: the honeypot defense's
-lifecycle spans are produced by agents that never hold references to
+The hub also owns the *session rendezvous*: the honeypot defense's
+lifecycle events are journaled by agents that never hold references to
 each other (server trigger agents, per-router back-propagation agents,
-HSMs), so they rendezvous here on ``(honeypot_addr, epoch)`` to build
-one tree per honeypot session.
+HSMs), so they meet here on ``(honeypot_addr, epoch)`` to hang their
+events under one ``session_open`` root per honeypot session.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Set, Tuple
 
 from .export import registry_to_prometheus, write_json
-from .journal import Journal, JournalEvent
+from .journal import Journal, JournalEvent, render_timeline
 from .profile import EngineProfiler
 from .registry import MetricsRegistry
-from .spans import Span, SpanRecorder
 
 __all__ = ["Telemetry"]
 
@@ -33,11 +32,10 @@ class Telemetry:
 
     def __init__(self, sim: Optional[Any] = None) -> None:
         self.registry = MetricsRegistry()
-        self.spans = SpanRecorder()
         self.journal = Journal()
         self.profiler = EngineProfiler()
-        self.session_spans: Dict[SessionKey, Span] = {}
         self.session_journal: Dict[SessionKey, JournalEvent] = {}
+        self._closed: Set[SessionKey] = set()
         # Free-form run-level payload merged into the artifact (figure
         # series, scenario parameters, capture summaries, ...).
         self.extra: Dict[str, Any] = {}
@@ -48,16 +46,15 @@ class Telemetry:
             self.bind(sim)
 
     def bind(self, sim: Any) -> "Telemetry":
-        """Clock the spans/journal off ``sim`` and profile its event
-        loop; the simulator also journals its own run boundaries."""
+        """Clock the journal off ``sim`` and profile its event loop;
+        the simulator also journals its own run boundaries."""
         # The session rendezvous is per simulation run: a shared hub
         # (serial run_many) binding a fresh simulator must not let a
         # previous run's (honeypot, epoch) keys swallow this run's
         # session_open events — pool workers start empty, and serial
         # must match them byte-for-byte.
-        self.session_spans.clear()
         self.session_journal.clear()
-        self.spans.clock = lambda: sim.now
+        self._closed.clear()
         self.journal.clock = lambda: sim.now
         sim.journal = self.journal
         # Engine-side counters (e.g. timer_jitter_clamped) land here.
@@ -66,41 +63,35 @@ class Telemetry:
         return self
 
     # ------------------------------------------------------------------
-    # Honeypot-session span rendezvous
+    # Honeypot-session rendezvous
     # ------------------------------------------------------------------
     def open_session(
         self, honeypot_addr: int, epoch: int, **attrs: Any
-    ) -> Span:
-        """Root span of one honeypot session (idempotent per key)."""
+    ) -> JournalEvent:
+        """The session's ``session_open`` root event, recorded on the
+        first call per key; later calls (even after the close) return
+        the same root."""
         key = (honeypot_addr, epoch)
-        span = self.session_spans.get(key)
-        if span is None:
-            span = self.spans.start(
-                "honeypot_session", honeypot=honeypot_addr, epoch=epoch, **attrs
-            )
-            self.session_spans[key] = span
-            self.session_journal[key] = self.journal.record(
+        root = self.session_journal.get(key)
+        if root is None:
+            root = self.session_journal[key] = self.journal.record(
                 "session_open", honeypot=honeypot_addr, epoch=epoch, **attrs
             )
             self.registry.counter("honeypot_sessions_total").inc()
-        return span
-
-    def session_span(self, honeypot_addr: int, epoch: int) -> Optional[Span]:
-        return self.session_spans.get((honeypot_addr, epoch))
+        return root
 
     def journal_root(
         self, honeypot_addr: int, epoch: int
     ) -> Optional[JournalEvent]:
-        """The session's root journal event (the causal-tree anchor)."""
+        """The session's root event, without opening the session."""
         return self.session_journal.get((honeypot_addr, epoch))
 
     def close_session(self, honeypot_addr: int, epoch: int, **attrs: Any) -> None:
-        span = self.session_spans.get((honeypot_addr, epoch))
-        already_closed = span is not None and span.end is not None
-        if span is not None:
-            self.spans.end(span, **attrs)
-        root = self.session_journal.get((honeypot_addr, epoch))
-        if root is not None and not already_closed:
+        """Record ``session_close`` under the root (once per key)."""
+        key = (honeypot_addr, epoch)
+        root = self.session_journal.get(key)
+        if root is not None and key not in self._closed:
+            self._closed.add(key)
             self.journal.record(
                 "session_close", parent=root, honeypot=honeypot_addr,
                 epoch=epoch, **attrs,
@@ -166,7 +157,6 @@ class Telemetry:
         payload: Dict[str, Any] = {
             "schema": "repro.obs/1",
             "metrics": self.registry.as_dict(),
-            "spans": self.spans.to_dicts(),
             "journal": self.journal.to_dicts(),
             "engine": self.profiler.as_dict(),
         }
@@ -202,11 +192,10 @@ class Telemetry:
         return "\n".join(lines)
 
     def render(self) -> str:
-        """Human-readable dump: prometheus text + span timelines."""
+        """Human-readable dump: prometheus text + session timelines."""
         parts = [registry_to_prometheus(self.registry)]
-        if self.spans.spans:
-            parts.append(self.spans.render_timeline())
         if self.journal.events:
+            parts.append(render_timeline(self.journal))
             parts.append(
                 f"journal: {len(self.journal.events)} events recorded "
                 "(write with --journal-out, inspect with `repro replay`)"

@@ -1,17 +1,15 @@
 """Merging per-worker telemetry artifacts into one consolidated run.
 
 Workers cannot share a live :class:`~repro.obs.telemetry.Telemetry`
-(its span clock is a closure over the worker's simulator), so each
+(its journal clock is a closure over the worker's simulator), so each
 instrumented task builds its own and ships the JSON-ready *artifact*
 back.  This module folds those artifacts into a parent telemetry:
 
 * metrics merge via :meth:`MetricsRegistry.merge` (counter adds,
   histogram bucket adds);
-* spans are re-materialized with their ids offset past the parent's,
-  preserving parent/child links — exactly what sequential serial runs
-  sharing one recorder would have produced;
-* journal events merge under the same id-offsetting scheme, so the
-  consolidated flight recorder is byte-identical to a serial run's;
+* journal events are re-materialized with their ids offset past the
+  parent's, preserving causal links — exactly what sequential serial
+  runs sharing one journal would have produced, byte for byte;
 * engine profiles accumulate (sums; heap high-water max);
 * leftover ``extra`` keys deep-merge with setdefault semantics,
   matching how serial runs populate ``telemetry.extra``.
@@ -28,7 +26,6 @@ from typing import Any, Dict, Iterable, Sequence
 
 from ..obs.journal import JournalEvent
 from ..obs.registry import MetricsRegistry
-from ..obs.spans import Span
 from ..obs.telemetry import Telemetry
 
 __all__ = ["absorb_artifact", "merge_artifacts", "strip_volatile", "VOLATILE_KEYS"]
@@ -41,6 +38,8 @@ VOLATILE_KEYS = frozenset(
     {"wall_time_s", "wall_time", "events_per_sec", "wall_per_sim_sec", "wall_s"}
 )
 
+# Artifacts in older checkpoints also carry a "spans" list; listing it
+# here keeps it out of ``extra``.
 _ARTIFACT_CORE = ("schema", "metrics", "spans", "journal", "engine")
 
 
@@ -73,20 +72,6 @@ def absorb_artifact(telemetry: Telemetry, artifact: Dict[str, Any]) -> Telemetry
     metrics = artifact.get("metrics")
     if metrics:
         telemetry.registry.merge(MetricsRegistry.from_dict(metrics))
-
-    offset = len(telemetry.spans.spans)
-    for d in artifact.get("spans", ()):
-        parent = d.get("parent_id")
-        span = Span(
-            d["span_id"] + offset,
-            d["name"],
-            d["start"],
-            parent + offset if parent is not None else None,
-            dict(d.get("attrs", {})),
-        )
-        span.end = d.get("end")
-        telemetry.spans.spans.append(span)
-        telemetry.spans._by_id[span.span_id] = span
 
     event_offset = len(telemetry.journal.events)
     for d in artifact.get("journal", ()):

@@ -182,7 +182,7 @@ class TestProfileCommand:
         counts = validate_trace(json.loads(trace.read_text()))
         assert counts["slices"] > 0
 
-    def test_profile_journal_matches_stats_run(self, tmp_path):
+    def test_profile_journal_matches_stats_run(self, tmp_path, capsys):
         """Attribution on (profile) vs off (stats): byte-identical
         journals for the same scenario parameters."""
         a = tmp_path / "profiled.jsonl"
@@ -191,8 +191,13 @@ class TestProfileCommand:
             "profile", "--scale", "quick", "--defense", "honeypot",
             "--journal-out", str(a),
         ]) == 0
+        capsys.readouterr()
         assert main([
             "stats", "--scale", "quick", "--defense", "honeypot",
             "--journal-out", str(b),
         ]) == 0
         assert a.read_bytes() == b.read_bytes()
+        # stats draws one gantt per honeypot session, a row per capture.
+        rows = capsys.readouterr().out.splitlines()
+        assert sum(r.startswith("session_open [") for r in rows) == 5
+        assert sum(r.lstrip().startswith("port_close [") for r in rows) == 25

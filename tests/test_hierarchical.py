@@ -9,7 +9,7 @@ from repro.backprop.hierarchical import (
 from repro.backprop.intraas import IntraASConfig
 from repro.backprop.messages import HoneypotRequest
 from repro.sim.packet import Packet
-from repro.traffic.sources import CBRSource
+from repro.traffic.sources import CBRSource, OnOffSource
 
 
 def build(chain=(1, 0, 0, 3), epoch_len=20.0, **kw):
@@ -185,8 +185,6 @@ class TestProgressiveHierarchical:
             config=IntraASConfig(trigger_threshold=2),
         )
         attacker = topo.sites[5].hosts[0]
-        from repro.traffic.sources import OnOffSource
-
         cbr = attack_from(topo, attacker, rate=4e4)  # 10 pkt/s of 500 B
         # 0.5 s bursts once per epoch: ~5 packets each, too few to walk
         # all 5 AS hops within one epoch (trigger consumes 2).
@@ -216,3 +214,29 @@ class TestProgressiveHierarchical:
         topo.network.run(until=15.0)
         assert scheme.captures
         assert scheme.captures[0].time < 10.0
+
+    def test_resumed_session_is_cancelled_at_epoch_end(self):
+        # Honeypot epochs 1-2 only: epoch 2 resumes at the frontier AS,
+        # and that session tree must end with the epoch. Left up, it
+        # keeps input debugging on and closes the port of a legitimate
+        # host that starts sending once the server is active again.
+        topo = build_multi_as_network([1, 0, 0, 0, 0, 2])
+        scheme = HierarchicalBackprop(
+            topo, epoch_len=10.0, progressive=True, honeypot_epochs=[1, 2],
+            config=IntraASConfig(trigger_threshold=2),
+        )
+        zombie, legit = topo.sites[5].hosts
+        cbr = attack_from(topo, zombie, rate=4e4)
+        OnOffSource(topo.network.sim, cbr, t_on=0.5, t_off=9.5).start(at=1.0)
+        CBRSource(
+            topo.network.sim, legit, topo.server.addr, rate_bps=4e4,
+            packet_size=500, flow=("legit", legit.addr),
+        ).start(at=25.0)
+        topo.network.run(until=40.0)
+        assert scheme.messages["resumes"] >= 1
+        assert [c.host_addr for c in scheme.captures] == [zombie.addr]
+        assert scheme._sessions == {}
+        assert all(not agent.sessions for agent in scheme.router_agents.values())
+        for site in topo.sites.values():
+            assert all(not a.diverted for a in site.edge_agents.values())
+        assert topo.server.packets_received > 100

@@ -16,6 +16,7 @@ from repro.obs.journal import (
     diff_journals,
     load_journal,
     render_html,
+    render_timeline,
     render_tree,
     replay_summary,
 )
@@ -174,6 +175,26 @@ class TestRendering:
         assert "http" not in html_text  # no external assets
         assert JOURNAL_SCHEMA in html_text
 
+    def test_render_timeline_shows_tree(self):
+        text = render_timeline(make_journal())
+        lines = text.splitlines()
+        assert lines[0].startswith("session_open [honeypot=9 epoch=2]")
+        assert "0.000 ->     2.000" in lines[0]  # bar ends at session_close
+        assert "  honeypot_hit" in text  # indented under the root
+        assert "      port_close [host=17]" in text
+        assert "*" in text  # event marker
+        assert "session_close" not in text  # no row of its own
+
+    def test_render_timeline_covers_only_sessions(self):
+        j = make_journal()
+        j.record("epoch_roll", epoch=3)
+        intra = j.record("intra_session_open", parent=0, router=4)
+        assert len(render_timeline(j).splitlines()) == 5
+        j.record("intra_session_close", parent=intra, ingress_ports=2)
+        row = render_timeline(j).splitlines()[-1]
+        assert row.startswith("  intra_session_open [router=4 ingress_ports=2]")
+        assert render_timeline(Journal()) == ""
+
 
 class TestTelemetryJournal:
     def test_session_open_close_recorded_once(self):
@@ -186,6 +207,27 @@ class TestTelemetryJournal:
         assert names == ["session_open", "session_close"]
         assert tele.journal.events[1].parent_id == 0
         assert tele.journal_root(9, 2).event_id == 0
+
+    def test_open_after_close_returns_the_original_root(self):
+        tele = Telemetry()
+        tele.open_session(9, 2)
+        tele.close_session(9, 2)
+        late = tele.open_session(9, 2)
+        names = [e.name for e in tele.journal.events]
+        assert names == ["session_open", "session_close"]
+        assert late.event_id == tele.journal_root(9, 2).event_id == 0
+
+    def test_absorb_ignores_legacy_spans(self):
+        from repro.parallel import absorb_artifact
+
+        worker = Telemetry()
+        worker.journal.record("session_open", honeypot=1, epoch=0)
+        legacy = worker.artifact()
+        legacy["spans"] = [{"span_id": 0, "name": "honeypot_session"}]
+        parent = Telemetry()
+        absorb_artifact(parent, legacy)
+        assert "spans" not in parent.artifact()
+        assert [e.name for e in parent.journal.events] == ["session_open"]
 
     def test_simulator_journals_run_boundaries(self):
         from repro.sim.engine import Simulator

@@ -9,9 +9,10 @@ from repro.obs import (
     DEFAULT_LATENCY_BUCKETS,
     EngineProfiler,
     Histogram,
+    Journal,
     MetricsRegistry,
-    SpanRecorder,
     Telemetry,
+    build_tree,
     load_json,
     registry_to_prometheus,
     series_to_csv,
@@ -120,69 +121,6 @@ class TestRegistry:
         assert a.histogram("h", buckets=(1.0,)).count == 1
 
 
-class TestSpans:
-    def test_nesting_and_events(self):
-        rec = SpanRecorder()
-        now = [0.0]
-        rec.clock = lambda: now[0]
-        root = rec.start("session", honeypot=9)
-        now[0] = 1.0
-        child = rec.start("hop", parent=root)
-        rec.event("port_close", parent=child, host=4)
-        now[0] = 2.0
-        rec.end(child)
-        rec.end(root)
-        assert rec.roots() == [root]
-        assert rec.children(root) == [child]
-        assert [s.name for s in rec.subtree(root)] == [
-            "session", "hop", "port_close",
-        ]
-        (evt,) = rec.find("port_close")
-        assert evt.is_event and evt.start == 1.0
-        assert child.duration == pytest.approx(1.0)
-
-    def test_end_is_idempotent(self):
-        rec = SpanRecorder()
-        s = rec.start("x")
-        rec.end(s, at=5.0)
-        rec.end(s, at=99.0)
-        assert s.end == 5.0
-
-    def test_complete_trees_requires_closed_subtree(self):
-        rec = SpanRecorder()
-        root = rec.start("session")
-        rec.event("port_close", parent=root)
-        assert rec.complete_trees("port_close") == []  # root still open
-        rec.end(root)
-        assert rec.complete_trees("port_close") == [root]
-        # A tree without the leaf never qualifies.
-        other = rec.start("session")
-        rec.end(other)
-        assert rec.complete_trees("port_close") == [root]
-
-    def test_serialization_round_trip(self):
-        rec = SpanRecorder()
-        root = rec.start("a", k=1)
-        rec.event("b", parent=root)
-        rec.end(root, at=3.0)
-        clone = SpanRecorder.from_dicts(rec.to_dicts())
-        assert clone.to_dicts() == rec.to_dicts()
-
-    def test_render_timeline_shows_tree(self):
-        rec = SpanRecorder()
-        now = [0.0]
-        rec.clock = lambda: now[0]
-        root = rec.start("session")
-        now[0] = 2.0
-        rec.event("port_close", parent=root)
-        now[0] = 4.0
-        rec.end(root)
-        text = rec.render_timeline()
-        assert "session" in text
-        assert "  port_close" in text  # indented under the root
-        assert "*" in text  # event marker
-
-
 class TestProfiler:
     def test_profiles_a_run(self):
         sim = Simulator()
@@ -218,16 +156,16 @@ class TestExport:
     def test_json_artifact_round_trip(self, tmp_path):
         tele = Telemetry()
         tele.registry.counter("c").inc(2)
-        root = tele.spans.start("session")
-        tele.spans.end(root, at=1.0)
+        root = tele.journal.record("session_open")
+        tele.journal.record("session_close", parent=root, at=1.0)
         path = tmp_path / "artifact.json"
         tele.write(path)
         data = load_json(path)
         assert data["schema"] == "repro.obs/1"
         clone = MetricsRegistry.from_dict(data["metrics"])
         assert clone.as_dict() == tele.registry.as_dict()
-        spans = SpanRecorder.from_dicts(data["spans"])
-        assert spans.to_dicts() == tele.spans.to_dicts()
+        journal = Journal.from_dicts(data["journal"])
+        assert journal.to_dicts() == tele.journal.to_dicts()
 
     def test_write_json_coerces_numpy(self, tmp_path):
         import numpy as np
@@ -420,23 +358,23 @@ class TestTelemetryIntegration:
 
     def test_fixed_seed_artifact_is_identical(self):
         """Zero-drift regression: same seed, same artifact, bit for bit
-        (span ids, times, counter values — everything but wall time)."""
+        (event ids, times, counter values — everything but wall time)."""
         artifacts = []
         for _ in range(2):
             tele = Telemetry()
             self._trial(tele)
             artifacts.append(
-                {"metrics": tele.registry.as_dict(), "spans": tele.spans.to_dicts()}
+                {"metrics": tele.registry.as_dict(), "journal": tele.journal.to_dicts()}
             )
         assert artifacts[0] == artifacts[1]
 
-    def test_trial_produces_session_spans_and_metrics(self):
+    def test_trial_produces_session_journal_and_metrics(self):
         tele = Telemetry()
         captured = self._trial(tele)
         assert captured is not None
         assert tele.registry.value("node_packets_received_total") > 0
-        assert tele.spans.find("honeypot_session")
-        assert tele.spans.find("port_close")
+        assert tele.journal.find("session_open")
+        assert tele.journal.find("port_close")
         hist = tele.registry.histogram("capture_time_seconds")
         assert hist.count == 1
         assert hist.sum == pytest.approx(captured)
@@ -460,9 +398,23 @@ class TestTelemetryIntegration:
         tele = Telemetry()
         res = run_tree_scenario(params, telemetry=tele)
         # At least one honeypot session progressed all the way from
-        # open to port close and was torn down.
-        complete = tele.spans.complete_trees("port_close")
-        assert complete
+        # open to port close and was torn down: every X_open in its
+        # tree has its X_close child.
+        roots, children = build_tree(tele.journal)
+
+        def complete(root):
+            stack, names = [root], set()
+            while stack:
+                event = stack.pop()
+                kids = children.get(event.event_id, [])
+                close = event.name[: -len("open")] + "close"
+                if event.name.endswith("_open") and close not in {k.name for k in kids}:
+                    return False
+                names.add(event.name)
+                stack.extend(kids)
+            return "port_close" in names
+
+        assert any(complete(r) for r in roots if r.name == "session_open")
         assert res.capture_times
         # The per-class delivery counters made it into the registry.
         assert tele.registry.value("delivered_packets_total", cls="legit") > 0
@@ -491,10 +443,9 @@ class TestArtifactMerging:
         tele.registry.histogram(
             "lat", buckets=(1.0, 5.0)
         ).observe(0.5 + seed)
-        root = tele.spans.start("session", at=0.0, seed=seed)
-        child = tele.spans.start("probe", at=1.0, parent=root)
-        tele.spans.end(child, at=2.0)
-        tele.spans.end(root, at=3.0)
+        root = tele.journal.record("session_open", at=0.0, seed=seed)
+        tele.journal.record("port_close", at=1.0, parent=root)
+        tele.journal.record("session_close", at=3.0, parent=root)
         tele.profiler.runs += 1
         tele.profiler.events += 100 * (seed + 1)
         tele.profiler.sim_time += 10.0
@@ -513,22 +464,6 @@ class TestArtifactMerging:
         assert prof["runs"] == 2
         assert prof["events_processed"] == 300
         assert prof["heap_hwm_events"] == 51
-
-    def test_absorb_offsets_span_ids_preserving_links(self):
-        from repro.parallel import absorb_artifact
-
-        parent = Telemetry()
-        absorb_artifact(parent, self._worker_artifact(0))
-        absorb_artifact(parent, self._worker_artifact(1))
-        spans = parent.spans.spans
-        assert len(spans) == 4
-        # All ids unique after offsetting; children point at their own
-        # worker's root, not the other's.
-        assert len({s.span_id for s in spans}) == 4
-        for root in parent.spans.roots():
-            kids = parent.spans.children(root)
-            assert [k.name for k in kids] == ["probe"]
-            assert kids[0].parent_id == root.span_id
 
     def test_extras_use_setdefault_semantics(self):
         from repro.parallel import absorb_artifact

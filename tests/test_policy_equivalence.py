@@ -13,16 +13,29 @@ subsystem promised not to do.
 change — the pre-fix bot leaked a stale start event and a poll timer),
 so it guards the policy-layer follower against future drift rather
 than proving pre-refactor identity.
+
+``interas.jsonl`` and ``hierarchical.jsonl`` pin the two AS-level
+back-propagation engines with telemetry on. They were generated while
+those engines still recorded lifecycle spans next to every journal
+event, so they prove that dropping the spans left the journal alone.
 """
 
 from dataclasses import replace
 from pathlib import Path
 
+import networkx as nx
 import pytest
 
+from repro.backprop.hierarchical import HierarchicalBackprop, build_multi_as_network
+from repro.backprop.interas import ASAttackerSpec, InterASBackprop, InterASConfig
+from repro.backprop.intraas import IntraASConfig
 from repro.experiments.runner import run_many
 from repro.experiments.scenarios import TreeScenarioParams
+from repro.honeypots.schedule import BernoulliSchedule
 from repro.obs import Telemetry
+from repro.sim.engine import Simulator
+from repro.topology.aslevel import ASTopology
+from repro.traffic.sources import CBRSource, OnOffSource
 
 FIXTURES = Path(__file__).parent / "fixtures" / "journals"
 
@@ -84,3 +97,72 @@ class TestLegacyEquivalence:
         ea = [e.as_dict() for e in a.journal.events]
         eb = [e.as_dict() for e in b.journal.events]
         assert ea == eb
+
+
+def interas_journal():
+    """6 transit hops, one on-off zombie, p=1, progressive, 200 s."""
+    g = nx.path_graph(8)
+    for node in g.nodes:
+        g.nodes[node]["transit"] = 0 < node < 7
+    topo = ASTopology(
+        graph=g, victim_as=0, transit_ases=list(range(1, 7)), stub_ases=[7]
+    )
+    sim = Simulator()
+    telemetry = Telemetry(sim)
+    attacker = ASAttackerSpec(1, 7, 10.0, t_on=2.0, t_off=8.0, phase=1.0)
+    engine = InterASBackprop(
+        topo,
+        BernoulliSchedule(1.0, 10.0, seed=0),
+        [attacker],
+        InterASConfig(tau=0.5, per_hop_delay=0.05, intra_as_capture_delay=0.5),
+        progressive=True,
+        sim=sim,
+        telemetry=telemetry,
+    )
+    engine.run(until=200.0)
+    return telemetry.journal
+
+
+def hierarchical_journal():
+    """The progressive burst chain of ``bench_hierarchical.run_bursty``,
+    stopped at 19 s (before the second epoch boundary)."""
+    topo = build_multi_as_network([1, 0, 0, 0, 0, 1])
+    telemetry = Telemetry(topo.network.sim)
+    HierarchicalBackprop(
+        topo, epoch_len=10.0, progressive=True,
+        config=IntraASConfig(trigger_threshold=2), telemetry=telemetry,
+    )
+    zombie = topo.sites[5].hosts[0]
+    cbr = CBRSource(
+        topo.network.sim, zombie, topo.server.addr,
+        rate_bps=4e4, packet_size=500,
+        flow=("attack", zombie.addr), src_fn=lambda: 1_000_000_321,
+    )
+    OnOffSource(topo.network.sim, cbr, t_on=0.5, t_off=9.5).start(at=1.0)
+    topo.network.run(until=19.0)
+    return telemetry.journal
+
+
+BACKPROP_POINTS = {
+    "interas.jsonl": interas_journal,
+    "hierarchical.jsonl": hierarchical_journal,
+}
+
+
+class TestBackpropJournals:
+    @pytest.mark.parametrize("fixture", sorted(BACKPROP_POINTS))
+    def test_journal_bytes_unchanged(self, fixture, tmp_path):
+        out = tmp_path / fixture
+        BACKPROP_POINTS[fixture]().write_jsonl(out)
+        expected = (FIXTURES / fixture).read_bytes()
+        got = out.read_bytes()
+        assert got == expected, (
+            f"{fixture}: journal drifted from the committed fixture "
+            f"({len(got)} vs {len(expected)} bytes)."
+        )
+
+    def test_fixtures_cover_the_cascade(self):
+        for fixture in BACKPROP_POINTS:
+            data = (FIXTURES / fixture).read_bytes()
+            for kind in (b'"as_session_open"', b'"inter_as_hop"', b'"port_close"'):
+                assert kind in data, f"{fixture} lacks {kind.decode()}"
