@@ -2,21 +2,12 @@
 
 Unlike the figure benches (single-shot experiment regeneration), these
 use pytest-benchmark's statistical timing to track the hot paths: the
-event loop, link serialization, router forwarding, and a small but
-complete traffic scenario.  They guard against performance regressions
-— the full-scale paper scenarios push tens of millions of events.
-
-``test_perf_event_loop`` is the headline scheduler comparison: event
-dispatch throughput at a 1M-pending-event population, heap vs calendar
-queue, with the speedup ratio recorded for the regression tracker.
-Ratios (not absolute rates) go into the baseline: they are far less
-machine-dependent than wall time.
+plain event loop driving link serialization, router forwarding, and a
+small but complete traffic scenario.  They guard against performance
+regressions — the full-scale paper scenarios push tens of millions of
+events.
 """
 
-import random
-from time import perf_counter
-
-from repro.sim.engine import Simulator
 from repro.sim.network import Network
 from repro.topology.string import build_string_topology
 from repro.traffic.sources import CBRSource
@@ -36,53 +27,6 @@ def _record(report, benchmark, count_name, count):
     if mean:
         report.metric("mean_round_s", round(mean, 6))
         report.metric(f"{count_name}_per_s", round(count / mean))
-
-
-def test_perf_event_loop(benchmark, report):
-    """Event-loop dispatch throughput at 1M pending events.
-
-    Drain model: fill the scheduler with one million randomly-timed
-    no-op events (bulk build, untimed), then time ``run()`` alone —
-    pure dispatch throughput at a large standing population, which is
-    where the heap's O(log n) pops dominate and the calendar queue's
-    O(1) buckets pay off.  Best-of-3 per scheduler; the headline
-    metric is the dimensionless speedup ratio.
-    """
-    report.name = "perf_event_loop"
-    n = 1_000_000
-    rng = random.Random(0)
-    times = [rng.random() * 100.0 for _ in range(n)]
-
-    def drain(policy):
-        sim = Simulator(scheduler=policy)
-        sim.schedule_many(times, _noop)
-        start = perf_counter()
-        sim.run()
-        wall = perf_counter() - start
-        assert sim.events_processed == n
-        return n / wall
-
-    heap_rate = max(drain("heap") for _ in range(3))
-    calendar_rate = max(drain("calendar") for _ in range(3))
-    speedup = calendar_rate / heap_rate
-
-    # One instrumented round on the default path ("auto" migrates to
-    # the calendar queue at this population) for the pytest-benchmark
-    # wall-time record.
-    rate = benchmark.pedantic(lambda: drain("auto"), rounds=1, iterations=1)
-    _record(report, benchmark, "events", n)
-    report.metric("heap_events_per_s", round(heap_rate))
-    report.metric("calendar_events_per_s", round(calendar_rate))
-    report.metric("default_events_per_s", round(rate))
-    report.metric("speedup_x", round(speedup, 2))
-    # Soft floor well under the ~2.1-3x this box measures, so CI noise
-    # cannot flake the gate while a real fast-path regression still
-    # fails loudly (the recorded speedup_x tracks the true ratio).
-    assert speedup >= 1.5, f"calendar/heap speedup collapsed: {speedup:.2f}x"
-
-
-def _noop() -> None:
-    return None
 
 
 def test_perf_link_serialization(benchmark, report):

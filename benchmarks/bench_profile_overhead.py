@@ -1,12 +1,13 @@
 """Attribution-profiler self-cost — the dimension accumulator budget.
 
-The attributed event loop (``Engine._run_attributed``) promises two
-things: it is cheap (one ``perf_counter`` pair plus a dict upsert per
-event, with the kind/site resolution memoized per callback), and it is
-inert (the causal journal is byte-identical with attribution on or
-off, because the accumulator only observes callback timing and never
-touches simulation state).  This bench measures the first promise and
-asserts the second.
+Dimensional attribution in the engine's dispatch loop
+(``Simulator.run`` with ``EngineProfiler.enable_dimensions``) promises
+two things: it is cheap (one ``perf_counter`` pair plus one charge call
+— a dict upsert, with the kind/site resolution memoized per callback —
+per event), and it is inert (the causal journal is byte-identical with
+attribution on or off, because the accumulator only observes callback
+timing and never touches simulation state).  This bench measures the
+first promise and asserts the second.
 
 Both arms run with full telemetry so the measured delta is exactly the
 attribution increment: telemetry-with-journal vs telemetry-with-journal

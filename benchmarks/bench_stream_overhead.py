@@ -1,11 +1,13 @@
 """Live-streaming telemetry self-cost — the <2% overhead budget.
 
 The in-run streamer (``repro.obs.stream``) promises two things: it is
-cheap (one integer AND per event plus a float compare per stride, with
-snapshot I/O amortized over thousands of events), and it is inert (the
-causal journal is byte-identical with streaming on or off, because the
-streamer only reads).  This bench measures the first promise and
-asserts the second.
+cheap, and it is inert (the causal journal is byte-identical with
+streaming on or off, because the streamer only reads).  Both arms run
+the engine's one dispatch loop.  The streamed arm adds, per event, an
+integer AND for the pulse stride and the profiler's pending-count
+compare (a stream brings a telemetry hub with it), plus a float compare
+per stride, with snapshot I/O amortized over thousands of events.  This
+bench measures the first promise and asserts the second.
 
 Expected shape: wall-clock overhead of an armed streamer stays under
 the documented 2% budget (gated via ``baseline.json``:

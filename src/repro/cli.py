@@ -139,13 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
             "workers (default: $REPRO_JOBS, else serial); results are "
             "identical to a serial run",
         )
-        p.add_argument(
-            "--scheduler",
-            choices=("heap", "calendar", "auto"),
-            default=None,
-            help="event-scheduler policy (default: $REPRO_SCHEDULER, "
-            "else auto); results are identical under all policies",
-        )
         _add_stream_dir_args(p)
 
     w = sub.add_parser(
@@ -186,13 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="pool workers (default: $REPRO_JOBS, else 1)",
-    )
-    w.add_argument(
-        "--scheduler",
-        choices=("heap", "calendar", "auto"),
-        default=None,
-        help="event-scheduler policy of every task's simulator "
-        "(default: $REPRO_SCHEDULER, else auto)",
     )
     w.add_argument(
         "--timeout",
@@ -326,13 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_policy_args(s)
     s.add_argument(
-        "--scheduler",
-        choices=("heap", "calendar", "auto"),
-        default=None,
-        help="event-scheduler policy (default: $REPRO_SCHEDULER, "
-        "else auto); the journal is identical under all policies",
-    )
-    s.add_argument(
         "--metrics-out",
         metavar="FILE",
         default=None,
@@ -380,13 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="defense configuration to profile",
     )
     _add_policy_args(pf)
-    pf.add_argument(
-        "--scheduler",
-        choices=("heap", "calendar", "auto"),
-        default=None,
-        help="event-scheduler policy (default: $REPRO_SCHEDULER, "
-        "else auto); the journal is identical under all policies",
-    )
     pf.add_argument(
         "--top",
         type=int,
@@ -727,7 +699,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
         telemetry = Telemetry()
         params = _apply_policy_args(
-            replace(_scenario_base(args.scale, args.scheduler), defense=args.defense),
+            replace(_scenario_base(args.scale), defense=args.defense),
             args,
         )
         stream = None
@@ -768,7 +740,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args.scale,
         telemetry=telemetry,
         jobs=getattr(args, "jobs", None),
-        scheduler=getattr(args, "scheduler", None),
         stream=_stream_spec(args),
     )
     path = (
@@ -895,7 +866,7 @@ def _run_sweep_command(args) -> int:
     from .parallel import PoolConfig, SweepCheckpoint, resolve_jobs
 
     base = _apply_policy_args(
-        replace(_scenario_base(args.scale, args.scheduler), defense=args.defense),
+        replace(_scenario_base(args.scale), defense=args.defense),
         args,
     )
     values = _parse_sweep_values(base, args.field, args.values)
@@ -1067,7 +1038,7 @@ def _run_profile_command(args) -> int:
 
     telemetry = Telemetry()
     params = _apply_policy_args(
-        replace(_scenario_base(args.scale, args.scheduler), defense=args.defense),
+        replace(_scenario_base(args.scale), defense=args.defense),
         args,
     )
     result = run_tree_scenario(params, telemetry=telemetry, profile=True)

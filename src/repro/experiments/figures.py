@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 import numpy as np
 
@@ -29,10 +29,8 @@ from .validation import ValidationParams, run_validation
 __all__ = ["FIGURES", "figure"]
 
 
-def _scenario_base(
-    scale: str, scheduler: Optional[str] = None
-) -> TreeScenarioParams:
-    base = TreeScenarioParams(seed=1, scheduler=scheduler)
+def _scenario_base(scale: str) -> TreeScenarioParams:
+    base = TreeScenarioParams(seed=1)
     if scale == "paper":
         return paper_scale(base)
     if scale == "quick":
@@ -43,7 +41,7 @@ def _scenario_base(
 
 
 def fig5(
-    scale: str = "default", telemetry=None, jobs=None, scheduler=None, stream=None
+    scale: str = "default", telemetry=None, jobs=None, stream=None
 ) -> str:
     m, p, h, r, tau = 10.0, 0.4, 10, 10.0, 1.0
     lines = [
@@ -60,7 +58,7 @@ def fig5(
 
 
 def fig6(
-    scale: str = "default", telemetry=None, jobs=None, scheduler=None, stream=None
+    scale: str = "default", telemetry=None, jobs=None, stream=None
 ) -> str:
     runs = 3 if scale == "quick" else 8
     base = ValidationParams(hops=10, p=0.3, epoch_len=10.0, runs=runs, seed=7)
@@ -81,7 +79,7 @@ def fig6(
 
 
 def fig7(
-    scale: str = "default", telemetry=None, jobs=None, scheduler=None, stream=None
+    scale: str = "default", telemetry=None, jobs=None, stream=None
 ) -> str:
     n_leaves = 100 if scale == "quick" else 400
     topo = build_tree_topology(
@@ -105,9 +103,9 @@ def fig7(
 
 
 def fig8(
-    scale: str = "default", telemetry=None, jobs=None, scheduler=None, stream=None
+    scale: str = "default", telemetry=None, jobs=None, stream=None
 ) -> str:
-    base = _scenario_base(scale, scheduler)
+    base = _scenario_base(scale)
     lines = [
         "Fig. 8 — legitimate throughput (%) over time, "
         f"attack in [{base.attack_start:.0f}, {base.attack_end:.0f}] s"
@@ -147,7 +145,7 @@ def fig8(
 
 
 def fig9(
-    scale: str = "default", telemetry=None, jobs=None, scheduler=None, stream=None
+    scale: str = "default", telemetry=None, jobs=None, stream=None
 ) -> str:
     return "Fig. 9 — simulation parameters\n" + render_table(
         ["parameter", "values studied", "default"], PARAMETER_TABLE
@@ -155,9 +153,9 @@ def fig9(
 
 
 def fig10(
-    scale: str = "default", telemetry=None, jobs=None, scheduler=None, stream=None
+    scale: str = "default", telemetry=None, jobs=None, stream=None
 ) -> str:
-    base = _scenario_base(scale, scheduler)
+    base = _scenario_base(scale)
     placements = ("far", "even", "close")
     defenses = ("honeypot", "pushback", "none")
     results = run_many(
@@ -181,9 +179,9 @@ def fig10(
 
 
 def fig11(
-    scale: str = "default", telemetry=None, jobs=None, scheduler=None, stream=None
+    scale: str = "default", telemetry=None, jobs=None, stream=None
 ) -> str:
-    base = replace(_scenario_base(scale, scheduler), attacker_rate=0.5e6)
+    base = replace(_scenario_base(scale), attacker_rate=0.5e6)
     counts = (5, 25) if scale == "quick" else (5, 10, 25, 50)
     defenses = ("honeypot", "pushback", "none")
     results = run_many(
@@ -207,7 +205,7 @@ def fig11(
 
 
 def policies(
-    scale: str = "default", telemetry=None, jobs=None, scheduler=None, stream=None
+    scale: str = "default", telemetry=None, jobs=None, stream=None
 ) -> str:
     """Capture-rate curves per adversary policy (beyond the paper).
 
@@ -217,7 +215,7 @@ def policies(
     bots/reflectors captured over time since attack start — the
     adaptive-adversary companion to the paper's Figs. 10/11.
     """
-    base = _scenario_base(scale, scheduler)
+    base = _scenario_base(scale)
     n_amp = max(2, base.n_attackers // 5)
     points = {
         "continuous": base,
@@ -301,7 +299,6 @@ def figure(
     scale: str = "default",
     telemetry=None,
     jobs=None,
-    scheduler=None,
     stream=None,
 ) -> str:
     """Regenerate one figure by name ('fig5' ... 'fig11').
@@ -311,12 +308,10 @@ def figure(
     and ignore it.  ``jobs`` fans the figure's independent scenario
     runs out over a :mod:`repro.parallel` worker pool (default:
     ``$REPRO_JOBS`` or serial); results are identical either way.
-    ``scheduler`` selects the engine's event-scheduler policy ("heap",
-    "calendar", "auto"); the results are identical under all policies —
-    only wall-clock time changes.  ``stream`` (a ``{"dir", "interval",
-    "wall_cap"}`` dict) arms one live telemetry stream per scenario run
-    under ``dir`` — watch them with ``repro watch DIR``; figures
-    without a simulation component accept and ignore it.
+    ``stream`` (a ``{"dir", "interval", "wall_cap"}`` dict) arms one
+    live telemetry stream per scenario run under ``dir`` — watch them
+    with ``repro watch DIR``; figures without a simulation component
+    accept and ignore it.
     """
     try:
         fn = FIGURES[name]
@@ -324,6 +319,4 @@ def figure(
         raise ValueError(
             f"unknown figure {name!r}; choose from {sorted(FIGURES)}"
         ) from None
-    return fn(
-        scale, telemetry=telemetry, jobs=jobs, scheduler=scheduler, stream=stream
-    )
+    return fn(scale, telemetry=telemetry, jobs=jobs, stream=stream)

@@ -57,7 +57,10 @@ def result_to_dict(result: TreeScenarioResult) -> Dict[str, Any]:
     return {
         "params": asdict(result.params),
         "seed": result.params.seed,
-        "scheduler": result.params.scheduler,
+        # Constant since the engine has one scheduler; kept because
+        # artifact readers, the e2e benchmark's outcome digest among
+        # them, expect the key.
+        "scheduler": "heap",
         "times": list(result.times),
         "legit_pct": list(result.legit_pct),
         "attack_pct": list(result.attack_pct),

@@ -107,10 +107,6 @@ class TreeScenarioParams:
     trigger_threshold: int = 2
     cancel_lead: float = 0.3
     seed: int = 0
-    # Event-scheduler policy: "heap", "calendar", "auto", or None for
-    # the engine default (REPRO_SCHEDULER env var, else auto).  The
-    # journal is byte-identical across policies (see repro.sim.engine).
-    scheduler: Optional[str] = None
 
     @property
     def n_clients(self) -> int:
@@ -262,7 +258,7 @@ def run_tree_scenario(
         bottleneck_bw=params.bottleneck_bw,
     )
     topo = build_tree_topology(tree_params, rngs.stream("topology"))
-    net = Network.from_graph(topo.graph, sim=Simulator(scheduler=params.scheduler))
+    net = Network.from_graph(topo.graph, sim=Simulator())
 
     attacker_ids, client_ids = assign_roles(
         topo, params.n_attackers, params.placement, rngs.stream("roles")

@@ -104,13 +104,12 @@ MUTABLE_ANNOTATIONS: FrozenSet[str] = frozenset(
 )
 
 # Callables whose callable arguments become simulation event handlers:
-# the Scheduler/Timer surface of repro.sim.engine plus the component
+# the Simulator/Timer surface of repro.sim.engine plus the component
 # registration hooks (delivery handlers, epoch listeners).
 HANDLER_REGISTRATION_APIS: FrozenSet[str] = frozenset(
     {
         "schedule",
         "schedule_at",
-        "schedule_many",
         "every",
         "on_deliver",
         "on_epoch",

@@ -3,15 +3,15 @@
 The full-scale paper scenarios push tens of millions of events; before
 any scaling work can be trusted we need to know where simulated time
 goes in wall-clock terms.  An :class:`EngineProfiler` attaches to a
-:class:`~repro.sim.engine.Simulator`; the engine then routes ``run()``
-through an instrumented copy of its event loop (the normal loop is
-untouched — a simulator without a profiler pays nothing).
+:class:`~repro.sim.engine.Simulator`; the engine's one dispatch loop
+then brackets each ``run()`` with a wall clock and tracks the pending
+high-water mark (a simulator without a profiler reads no clock).
 
 Tracked per simulator, accumulated across ``run()`` calls:
 
 * events processed and wall-clock seconds -> events/sec;
 * event-heap high-water mark (live pending events; lazily cancelled
-  entries still occupying the scheduler are excluded);
+  entries still occupying the heap are excluded);
 * simulated seconds covered -> wall-time per simulated second.
 
 Dimensional attribution (:meth:`EngineProfiler.enable_dimensions`) adds
@@ -21,11 +21,10 @@ where *kind* is the callback's qualified name, *module* its defining
 module (``repro.`` prefix trimmed), and *site* the topology location
 resolved from the callback's bound instance — the node address, mapped
 through an optional ``site_of`` partition function (e.g. per-AS subtree
-labels from :func:`repro.topology.tree.subtree_partition`).  Attribution
-runs in yet another loop copy (``Simulator._run_attributed``) so the
-plain and profiled loops stay untaxed; it only ever *reads* engine
-state, so the causal journal is byte-identical with attribution on or
-off.
+labels from :func:`repro.topology.tree.subtree_partition`).  The loop
+only times callbacks when dimensions are on, and the charge
+(:meth:`EngineProfiler.charger`) only ever *reads* engine state, so the
+causal journal is byte-identical with attribution on or off.
 """
 
 from __future__ import annotations
@@ -77,7 +76,7 @@ class EngineProfiler:
 
     # ------------------------------------------------------------------
     def attach(self, sim: Any) -> "EngineProfiler":
-        """Route ``sim.run()`` through the instrumented loop."""
+        """Profile every later ``sim.run()``."""
         sim.profiler = self
         live = sim.pending(live=True)
         if live > self.heap_hwm:
@@ -112,8 +111,42 @@ class EngineProfiler:
         if depth > self.heap_hwm:
             self.heap_hwm = depth
 
+    def charger(self) -> Callable[[Callable[..., Any], float], None]:
+        """A ``charge(fn, dt)`` for one ``run()`` with dimensions on:
+        adds one event and ``dt`` wall seconds to the ``(kind, module,
+        site)`` cell of the dispatched callback ``fn``."""
+        dims = self.dims
+        assert dims is not None
+        resolve_kind = self.dimension_kind
+        resolve_site = self.dimension_site
+        # Per-callback memo for the fully resolved dimension key.  Bound
+        # methods are fresh objects per schedule() call, so the memo is
+        # keyed by (underlying function, bound instance) — both stable
+        # and already alive while their events are pending.
+        key_cache: Dict[Any, DimKey] = {}
+
+        def charge(fn: Callable[..., Any], dt: float) -> None:
+            ckey: Any = (getattr(fn, "__func__", fn), getattr(fn, "__self__", None))
+            try:
+                key = key_cache.get(ckey)
+            except TypeError:  # unhashable instance: no memo
+                ckey = key = None
+            if key is None:
+                kind, module = resolve_kind(fn)
+                key = (kind, module, resolve_site(fn))
+                if ckey is not None:
+                    key_cache[ckey] = key
+            cell = dims.get(key)
+            if cell is None:
+                dims[key] = [1, dt]
+            else:
+                cell[0] += 1
+                cell[1] += dt
+
+        return charge
+
     # ------------------------------------------------------------------
-    # Dimension resolution (miss path of the attributed loop's caches)
+    # Dimension resolution (miss path of the charge memo)
     # ------------------------------------------------------------------
     def dimension_kind(self, fn: Callable[..., Any]) -> Tuple[str, str]:
         """``(kind, module)`` for a dispatched callback (memoized)."""

@@ -12,7 +12,7 @@ while it happens.
 Cadence is a *sim-time* ticker (``interval`` simulated seconds) with a
 *wall-clock* cap (``wall_cap`` real seconds): a run that crawls in sim
 time still emits snapshots, and a run that blazes through sim time is
-not slowed by per-tick I/O.  The engine's instrumented loop calls
+not slowed by per-tick I/O.  The engine's dispatch loop calls
 :meth:`TelemetryStreamer.pulse` once every ``check_stride`` dispatched
 events (a power-of-two bitmask test), so the steady-state cost of an
 armed streamer is one integer AND per event plus a float compare per
@@ -212,7 +212,7 @@ class TelemetryStreamer:
             sim.stream = None
 
     # ------------------------------------------------------------------
-    # Engine hook (called at stride boundaries of the instrumented loop)
+    # Engine hook (called at stride boundaries of the dispatch loop)
     # ------------------------------------------------------------------
     def pulse(self, sim: Any, events: int) -> None:
         """Snapshot if a sim-time tick passed or the wall cap expired.
@@ -289,7 +289,6 @@ class TelemetryStreamer:
                 "events_per_sec": round(rate, 1),
                 "live_pending": live,
                 "heap_hwm": heap_hwm,
-                "scheduler": sim.scheduler_name,
             },
             "obs": {
                 # Accumulated cost of *previous* snapshots; this one is

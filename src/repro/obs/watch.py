@@ -76,8 +76,7 @@ def render_snapshot(
         f"engine     {engine.get('events', 0)} events  "
         f"{_fmt_rate(float(engine.get('events_per_sec', 0.0)))} ev/s  "
         f"live {engine.get('live_pending', 0)}  "
-        f"hwm {engine.get('heap_hwm', 0)}  "
-        f"[{engine.get('scheduler', '?')}]"
+        f"hwm {engine.get('heap_hwm', 0)}"
     )
     if defense:
         total = progress.get("attackers_total")

@@ -1,25 +1,19 @@
 """Discrete-event simulation engine.
 
 A minimal, fast event scheduler in the style of ns-2's event loop.
-Pending events are ``(time, sequence, Event)`` entries in a pluggable
-scheduler structure (see :mod:`repro.sim.scheduler`): the classic
-binary heap, or a calendar queue for very large event populations.
-The sequence number breaks ties FIFO so that events scheduled for the
-same instant fire in the order they were scheduled, which keeps
-simulations deterministic — and because entries order totally, every
-scheduler dispatches the *identical* event sequence, a property the
-causal journal verifies end-to-end (``repro replay --check``).
+Pending events are ``(time, sequence, Event)`` entries in one binary
+heap (``heapq``).  The sequence number breaks ties FIFO so that events
+scheduled for the same instant fire in the order they were scheduled,
+which keeps simulations deterministic: entries order totally on
+``(time, seq)``, so the dispatch sequence depends on nothing but the
+schedule calls, a property the causal journal verifies end-to-end
+(``repro replay --check``).
 
-Scheduler selection (``Simulator(scheduler=...)``):
-
-* ``"heap"`` / ``"calendar"`` — force one structure;
-* ``"auto"`` (default) — start on the heap, migrate once to the
-  calendar queue if the live pending population ever exceeds
-  :data:`~repro.sim.scheduler.AUTO_CALENDAR_THRESHOLD`;
-* a scheduler instance — use it as-is.
-
-The ``REPRO_SCHEDULER`` environment variable supplies the default
-policy when the constructor argument is omitted.
+:meth:`Simulator.run` is the only dispatch loop.  Each optional
+observer — the engine profiler, its per-event dimensional attribution,
+the live telemetry streamer (all in :mod:`repro.obs`) — sits behind one
+local test in that loop, so a plain run reads no clock and makes no
+extra call per event.
 
 The engine is deliberately callback-based (no generator processes): the
 paper's workloads are packet-level CBR flows and timer-driven control
@@ -39,15 +33,12 @@ later ``schedule()``.
 
 from __future__ import annotations
 
-import os
-from typing import Any, Callable, List, Optional, Sequence, Union
+from heapq import heappop, heappush
 
-from .scheduler import (
-    AUTO_CALENDAR_THRESHOLD,
-    CalendarQueueScheduler,
-    HeapScheduler,
-    Scheduler,
-)
+# reprolint: ignore[RPL002] -- self-profiling measures real wall time
+# for repro.obs; it never feeds back into simulated state
+from time import perf_counter
+from typing import Any, Callable, List, Optional, Tuple
 
 __all__ = ["Event", "Simulator", "Timer", "SimulationError"]
 
@@ -67,8 +58,8 @@ def _retired() -> None:  # pragma: no cover - placeholder callback
 class Event:
     """A scheduled callback.  Returned by :meth:`Simulator.schedule`.
 
-    Cancellation is lazy: a cancelled event stays in the scheduler but
-    is skipped when popped.  This is O(1) and is the standard trick for
+    Cancellation is lazy: a cancelled event stays in the heap but is
+    skipped when popped.  This is O(1) and is the standard trick for
     heap-based schedulers; the engine keeps a separate live counter so
     :meth:`Simulator.pending` can still report the true pending count.
 
@@ -119,17 +110,19 @@ class Simulator:
     1.5
     """
 
-    def __init__(self, scheduler: Union[str, Scheduler, None] = None) -> None:
+    def __init__(self) -> None:
         self.now: float = 0.0
         self._seq: int = 0
         self._running = False
         self._stopped = False
         self.events_processed: int = 0
+        # Pending (time, seq, Event) entries, a heapq heap.
+        self._heap: List[Tuple[float, int, Event]] = []
         # Live (non-cancelled) pending events; see pending(live=True).
         self._live: int = 0
-        # Self-profiling (repro.obs.EngineProfiler.attach sets this).
-        # run() dispatches to an instrumented copy of the loop when a
-        # profiler is attached, so the normal loop pays nothing.
+        # Self-profiling (repro.obs.EngineProfiler.attach sets this):
+        # run() then brackets itself with a wall clock and tracks the
+        # live-pending high-water mark.
         self.profiler: Optional[Any] = None
         # Flight recorder (repro.obs.Telemetry.bind sets this): run()
         # brackets each invocation with sim_run_start/sim_run_end
@@ -139,43 +132,17 @@ class Simulator:
         # for low-rate operational counters such as timer_jitter_clamped.
         self.metrics: Optional[Any] = None
         # Live streamer (repro.obs.stream.TelemetryStreamer.attach sets
-        # this): the instrumented loop pulses it at stride boundaries.
-        # Snapshots only read engine state — never schedule events —
-        # so the journal is identical with or without a stream.
+        # this): run() pulses it at stride boundaries.  Snapshots only
+        # read engine state — never schedule events — so the journal is
+        # identical with or without a stream.
         self.stream: Optional[Any] = None
         self.timer_jitter_clamps: int = 0
-
-        if scheduler is None:
-            scheduler = os.environ.get("REPRO_SCHEDULER") or "auto"
-        if isinstance(scheduler, str):
-            policy = scheduler.strip().lower()
-            if policy == "calendar":
-                self._sched: Scheduler = CalendarQueueScheduler()
-            elif policy in ("auto", "heap"):
-                self._sched = HeapScheduler()
-            else:
-                raise SimulationError(
-                    f"unknown scheduler policy {scheduler!r} "
-                    "(expected 'auto', 'heap' or 'calendar')"
-                )
-            self._auto = policy == "auto"
-        else:
-            self._sched = scheduler
-            policy = getattr(scheduler, "name", "custom")
-            self._auto = False
-        self.scheduler_policy: str = policy
-
         # Event freelist (allocation relief on the hot path).
         self._free: List[Event] = []
 
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    @property
-    def scheduler_name(self) -> str:
-        """Name of the scheduler structure currently in use."""
-        return getattr(self._sched, "name", "custom")
-
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
@@ -184,7 +151,9 @@ class Simulator:
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at absolute simulation time ``time``."""
-        if time < self.now:
+        # Negated so that a NaN time, which compares False both ways,
+        # is rejected instead of firing out of order.
+        if not time >= self.now:
             raise SimulationError(
                 f"cannot schedule at t={time} before current time t={self.now}"
             )
@@ -200,57 +169,9 @@ class Simulator:
         ev._queued = True
         ev._sim = self
         self._seq += 1
-        self._sched.push((time, self._seq, ev))
+        heappush(self._heap, (time, self._seq, ev))
         self._live += 1
-        if self._auto and self._live > AUTO_CALENDAR_THRESHOLD:
-            self._migrate_to_calendar()
         return ev
-
-    def schedule_many(
-        self, times: Sequence[float], fn: Callable[..., Any], *args: Any
-    ) -> List[Event]:
-        """Bulk-schedule ``fn(*args)`` at each absolute time in ``times``.
-
-        Equivalent to ``[schedule_at(t, fn, *args) for t in times]`` —
-        same sequence numbers, same dispatch order — with the validation
-        and attribute traffic amortized over the batch (used by the
-        batched CBR fast path).
-        """
-        now = self.now
-        sched = self._sched
-        free = self._free
-        seq = self._seq
-        out: List[Event] = []
-        try:
-            for time in times:
-                if time < now:
-                    raise SimulationError(
-                        f"cannot schedule at t={time} before current time t={now}"
-                    )
-                if free:
-                    ev = free.pop()
-                    ev.time = time
-                    ev.fn = fn
-                    ev.args = args
-                    ev.cancelled = False
-                else:
-                    ev = Event(time, fn, args)
-                ev._queued = True
-                ev._sim = self
-                seq += 1
-                sched.push((time, seq, ev))
-                out.append(ev)
-        finally:
-            self._seq = seq
-            self._live += len(out)
-        if self._auto and self._live > AUTO_CALENDAR_THRESHOLD:
-            self._migrate_to_calendar()
-        return out
-
-    def _migrate_to_calendar(self) -> None:
-        """One-shot auto migration heap -> calendar queue."""
-        self._auto = False
-        self._sched = CalendarQueueScheduler(self._sched.drain())
 
     def every(
         self,
@@ -280,8 +201,15 @@ class Simulator:
     def run(self, until: Optional[float] = None) -> None:
         """Process events in time order.
 
-        Runs until the scheduler is empty, or until the clock would pass
+        Runs until no events are pending, or until the clock would pass
         ``until`` (the clock is then advanced to exactly ``until``).
+
+        An attached profiler gets the run's wall time, event count and
+        live-pending high-water mark; with dimensions enabled each
+        callback is also timed and charged to its ``(kind, module,
+        site)`` cell.  An attached streamer is pulsed once every
+        ``check_stride`` dispatched events.  Both only read engine
+        state, so the dispatch sequence is the same with or without them.
         """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run())")
@@ -290,48 +218,54 @@ class Simulator:
             before = self.events_processed
             journal.record("sim_run_start", pending=self._live)
         prof = self.profiler
-        if prof is not None and prof.dims is not None:
-            self._run_attributed(until)
-        elif prof is not None or self.stream is not None:
-            self._run_profiled(until)
-        else:
-            self._run_plain(until)
-        if journal is not None:
-            journal.record(
-                "sim_run_end", events=self.events_processed - before
-            )
-
-    def _run_plain(self, until: Optional[float] = None) -> None:
-        self._running = True
-        self._stopped = False
+        charge = None
+        if prof is not None:
+            if prof.dims is not None:
+                charge = prof.charger()
+            wall_start = perf_counter()  # reprolint: ignore[RPL002] -- profiler
+        stream = self.stream
+        # Stream pulse cadence: the pulse fires when `processed` is a
+        # multiple of the stream's power-of-two check stride.
+        smask = stream.check_mask if stream is not None else 0
+        sbase = self.events_processed
+        hwm = self._live
+        sim_start = self.now
+        heap = self._heap
         free = self._free
         free_max = _FREELIST_MAX
         # Sentinel instead of a per-event None test; time > inf is never
         # true, so the untimed loop pays one float compare.
         limit = float("inf") if until is None else until
         processed = 0
+        self._running = True
+        self._stopped = False
         try:
+            # `while True`, not `while heap`: CPython 3.11 specializes a
+            # code object only after calls or unconditional backward
+            # jumps, and run() is entered once per scenario, so a loop
+            # closed by a conditional jump would stay unspecialized.
             while True:
-                sched = self._sched
-                entry = sched.pop()
-                if entry is None:
+                if prof is not None and self._live > hwm:
+                    hwm = self._live
+                if not heap or heap[0][0] > limit:
                     break
-                time = entry[0]
-                if time > limit:
-                    sched.push(entry)
-                    break
-                ev = entry[2]
+                time, _, ev = heappop(heap)
                 ev._queued = False
-                if ev.cancelled:
-                    if len(free) < free_max:
-                        ev.fn = _retired
-                        ev.args = ()
-                        free.append(ev)
-                    continue
-                self._live -= 1
-                self.now = time
-                ev.fn(*ev.args)
-                processed += 1
+                if not ev.cancelled:
+                    self._live -= 1
+                    self.now = time
+                    fn = ev.fn
+                    if charge is None:
+                        fn(*ev.args)
+                    else:
+                        # reprolint: ignore[RPL002] -- profiler
+                        t0 = perf_counter()
+                        fn(*ev.args)
+                        # reprolint: ignore[RPL002] -- profiler
+                        charge(fn, perf_counter() - t0)
+                    processed += 1
+                    if stream is not None and (processed & smask) == 0:
+                        stream.pulse(self, sbase + processed)
                 # Retire only after the callback returns: a callback may
                 # legitimately cancel the very event that is firing (a
                 # timer cancelling itself), which must see _queued=False
@@ -347,69 +281,6 @@ class Simulator:
         finally:
             self._running = False
             self.events_processed += processed
-
-    def _run_profiled(self, until: Optional[float] = None) -> None:
-        """The same event loop as :meth:`run`, instrumented for the
-        attached profiler (wall-clock timing, live pending high-water
-        mark) and/or live streamer (pulsed once per ``check_stride``
-        dispatched events — a bitmask test on the hot path).  Kept as a
-        separate copy so the uninstrumented loop carries zero cost."""
-        # reprolint: ignore[RPL002] -- self-profiling measures real wall
-        # time for repro.obs; it never feeds back into simulated state
-        from time import perf_counter
-
-        prof = self.profiler
-        stream = self.stream
-        # Stream pulse cadence: the pulse fires when `processed` is a
-        # multiple of the stream's power-of-two check stride.
-        smask = stream.check_mask if stream is not None else 0
-        sbase = self.events_processed
-        self._running = True
-        self._stopped = False
-        free = self._free
-        free_max = _FREELIST_MAX
-        processed = 0
-        hwm = self._live
-        sim_start = self.now
-        limit = float("inf") if until is None else until
-        wall_start = perf_counter()  # reprolint: ignore[RPL002] -- profiler
-        try:
-            while True:
-                if self._live > hwm:
-                    hwm = self._live
-                sched = self._sched
-                entry = sched.pop()
-                if entry is None:
-                    break
-                time = entry[0]
-                if time > limit:
-                    sched.push(entry)
-                    break
-                ev = entry[2]
-                ev._queued = False
-                if ev.cancelled:
-                    if len(free) < free_max:
-                        ev.fn = _retired
-                        ev.args = ()
-                        free.append(ev)
-                    continue
-                self._live -= 1
-                self.now = time
-                ev.fn(*ev.args)
-                processed += 1
-                if len(free) < free_max:
-                    ev.fn = _retired
-                    ev.args = ()
-                    free.append(ev)
-                if stream is not None and (processed & smask) == 0:
-                    stream.pulse(self, sbase + processed)
-                if self._stopped:
-                    break
-            if until is not None and not self._stopped and self.now < until:
-                self.now = until
-        finally:
-            self._running = False
-            self.events_processed += processed
             if prof is not None:
                 prof.note_heap(hwm)
                 prof.record_run(
@@ -417,109 +288,8 @@ class Simulator:
                     perf_counter() - wall_start,  # reprolint: ignore[RPL002]
                     self.now - sim_start,
                 )
-
-    def _run_attributed(self, until: Optional[float] = None) -> None:
-        """The profiled loop plus per-event dimensional attribution.
-
-        Chosen by :meth:`run` when the attached profiler has dimensions
-        enabled (:meth:`repro.obs.profile.EngineProfiler
-        .enable_dimensions`): each callback is bracketed with a
-        wall-clock timer and charged to its ``(kind, module, site)``
-        cell.  A third loop copy so neither the plain loop nor the
-        ordinary profiled/streamed loop (whose overhead is gated by
-        ``bench_stream_overhead``) pays for the per-event bookkeeping.
-        Attribution only reads engine state — it never schedules events
-        or touches the journal, so journals are byte-identical with
-        attribution on or off (gated by ``bench_profile_overhead``).
-        """
-        # reprolint: ignore[RPL002] -- self-profiling measures real wall
-        # time for repro.obs; it never feeds back into simulated state
-        from time import perf_counter
-
-        prof = self.profiler
-        assert prof is not None and prof.dims is not None
-        dims = prof.dims
-        kind_of = prof.dimension_kind
-        site_of = prof.dimension_site
-        # Per-callback memo for the fully resolved dimension key.  Bound
-        # methods are fresh objects per schedule() call, so the memo is
-        # keyed by (underlying function, bound instance) — both stable
-        # and already alive while their events are pending.
-        key_cache: dict = {}
-        stream = self.stream
-        smask = stream.check_mask if stream is not None else 0
-        sbase = self.events_processed
-        self._running = True
-        self._stopped = False
-        free = self._free
-        free_max = _FREELIST_MAX
-        processed = 0
-        hwm = self._live
-        sim_start = self.now
-        limit = float("inf") if until is None else until
-        wall_start = perf_counter()  # reprolint: ignore[RPL002] -- profiler
-        try:
-            while True:
-                if self._live > hwm:
-                    hwm = self._live
-                sched = self._sched
-                entry = sched.pop()
-                if entry is None:
-                    break
-                time = entry[0]
-                if time > limit:
-                    sched.push(entry)
-                    break
-                ev = entry[2]
-                ev._queued = False
-                if ev.cancelled:
-                    if len(free) < free_max:
-                        ev.fn = _retired
-                        ev.args = ()
-                        free.append(ev)
-                    continue
-                self._live -= 1
-                self.now = time
-                fn = ev.fn
-                t0 = perf_counter()  # reprolint: ignore[RPL002] -- profiler
-                fn(*ev.args)
-                dt = perf_counter() - t0  # reprolint: ignore[RPL002]
-                processed += 1
-                ckey = (getattr(fn, "__func__", fn), getattr(fn, "__self__", None))
-                try:
-                    key = key_cache.get(ckey)
-                except TypeError:  # unhashable instance: no memo
-                    ckey = key = None
-                if key is None:
-                    kind, module = kind_of(fn)
-                    key = (kind, module, site_of(fn))
-                    if ckey is not None:
-                        key_cache[ckey] = key
-                cell = dims.get(key)
-                if cell is None:
-                    dims[key] = [1, dt]
-                else:
-                    cell[0] += 1
-                    cell[1] += dt
-                if len(free) < free_max:
-                    ev.fn = _retired
-                    ev.args = ()
-                    free.append(ev)
-                if stream is not None and (processed & smask) == 0:
-                    stream.pulse(self, sbase + processed)
-                if self._stopped:
-                    break
-            if until is not None and not self._stopped and self.now < until:
-                self.now = until
-        finally:
-            self._running = False
-            self.events_processed += processed
-            prof.note_heap(hwm)
-            prof.record_run(
-                processed,
-                perf_counter() - wall_start,  # reprolint: ignore[RPL002]
-                self.now - sim_start,
-            )
+        if journal is not None:
+            journal.record("sim_run_end", events=self.events_processed - before)
 
     def stop(self) -> None:
         """Stop :meth:`run` after the current event returns."""
@@ -528,18 +298,18 @@ class Simulator:
     def pending(self, live: bool = False) -> int:
         """Number of pending events.
 
-        With ``live=False`` (default) this counts scheduler entries,
+        With ``live=False`` (default) this counts heap entries,
         including lazily-cancelled ones still awaiting their skip-pop;
         ``live=True`` counts only events that will actually fire.
         """
         if live:
             return self._live
-        return len(self._sched)
+        return len(self._heap)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"Simulator(now={self.now:.6f}, pending={len(self._sched)}, "
-            f"live={self._live}, scheduler={self.scheduler_name})"
+            f"Simulator(now={self.now:.6f}, pending={len(self._heap)}, "
+            f"live={self._live})"
         )
 
 

@@ -6,15 +6,15 @@ alternate on-bursts of ``t_on`` seconds at rate r with ``t_off``
 seconds of silence (Section 7.3).
 
 Fast path: with ``batch=K`` (or ``REPRO_CBR_BATCH=K``) a CBR source
-precomputes its next K departure times — jitter draws come from the
-source's existing RNG stream, departure times by the same sequential
-float accumulation as the event-per-packet path, so each source's
-packet schedule is bit-identical — and registers them in one
-``schedule_many`` call plus a single batch-refill event.  The default
-stays K=1 because scenarios share one client RNG across many sources:
-batching reorders the *interleaving* of draws between sources, which
-changes the global random sequence even though each gap distribution is
-unchanged.  Enable it for single-source or per-source-RNG workloads.
+schedules its next K departures from one refill event, the K-th of
+them being the next refill.  Jitter draws come from the source's
+existing RNG stream and departure times by the same sequential float
+accumulation as the event-per-packet path, so each source's packet
+schedule is bit-identical.  The default stays K=1 because scenarios
+share one client RNG across many sources: batching reorders the
+*interleaving* of draws between sources, which changes the global
+random sequence even though each gap distribution is unchanged.
+Enable it for single-source or per-source-RNG workloads.
 """
 
 from __future__ import annotations
@@ -74,7 +74,8 @@ class CBRSource:
         rng=None,
         batch: Optional[int] = None,
     ) -> None:
-        if rate_bps <= 0:
+        # Negated so that a NaN rate (NaN inter-packet gaps) is rejected.
+        if not rate_bps > 0:
             raise ValueError(f"rate must be positive (got {rate_bps})")
         if packet_size <= 0:
             raise ValueError(f"packet size must be positive (got {packet_size})")
@@ -181,13 +182,13 @@ class CBRSource:
             return
         self._next_event = None
         self._send_packet()
-        t = self.sim.now
-        times: List[float] = []
-        for _ in range(self.batch):
+        sim = self.sim
+        t = sim.now
+        events: List[Optional[Event]] = []
+        for _ in range(self.batch - 1):
             t = t + self._next_gap()
-            times.append(t)
-        events = self.sim.schedule_many(times[:-1], self._send_one)
-        events.append(self.sim.schedule_at(times[-1], self._refill))
+            events.append(sim.schedule_at(t, self._send_one))
+        events.append(sim.schedule_at(t + self._next_gap(), self._refill))
         self._batch_events = events
         self._batch_pos = 0
 

@@ -1,7 +1,9 @@
 """Tests for the discrete-event engine."""
 
+from bisect import insort
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.engine import SimulationError, Simulator
 
@@ -48,6 +50,19 @@ class TestScheduling:
         sim.run()
         with pytest.raises(SimulationError):
             sim.schedule_at(1.0, lambda: None)
+
+    def test_nan_time_rejected(self):
+        # NaN compares False against the clock both ways; it must not
+        # slip past the past-time guard and fire out of order.
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.schedule(float("nan"), lambda: None)
+        with pytest.raises(SimulationError):
+            sim.schedule_at(float("nan"), lambda: None)
+        assert sim.pending() == 1
+        sim.run()
+        assert sim.now == 1.0
 
     def test_events_scheduled_during_run_fire(self):
         sim = Simulator()
@@ -159,3 +174,100 @@ def test_property_events_always_fire_in_nondecreasing_time(delays):
     sim.run()
     assert seen == sorted(seen)
     assert len(seen) == len(delays)
+
+
+class _Handle:
+    def __init__(self):
+        self.cancelled = False
+
+    def cancel(self):
+        self.cancelled = True
+
+
+class _SortedListReference:
+    """Reference dispatcher: ``(time, seq)`` entries in a plain sorted
+    list.  Ties fire FIFO (seq), cancelled entries are dropped without
+    moving the clock, and ``run(until)`` leaves the clock at ``until``."""
+
+    def __init__(self):
+        self.now = 0.0
+        self._seq = 0
+        self._entries = []
+
+    def schedule(self, delay, fn, *args):
+        self._seq += 1
+        handle = _Handle()
+        insort(self._entries, (self.now + delay, self._seq, handle, fn, args))
+        return handle
+
+    def run(self, until=None):
+        entries = self._entries
+        while entries and (until is None or entries[0][0] <= until):
+            time, _, handle, fn, args = entries.pop(0)
+            if not handle.cancelled:
+                self.now = time
+                fn(*args)
+        if until is not None and self.now < until:
+            self.now = until
+
+
+def _drive(sim, delays, cancel_idx, segments):
+    """Run one schedule/cancel/run-until script; return the dispatch log
+    with the clock after every run() call."""
+    log = []
+    events = [
+        sim.schedule(d, lambda i=i: log.append((sim.now, i)))
+        for i, d in enumerate(delays)
+    ]
+    for i in cancel_idx:
+        events[i % len(events)].cancel()
+    for until in sorted(segments):
+        sim.run(until=until)
+        log.append(("until", sim.now))
+    sim.run()
+    log.append(("end", sim.now))
+    return log
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    delays=st.lists(
+        st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
+        min_size=1,
+        max_size=60,
+    ),
+    cancel_idx=st.lists(st.integers(min_value=0, max_value=1000), max_size=20),
+    segments=st.lists(
+        st.floats(min_value=0.0, max_value=100.0, allow_nan=False), max_size=4
+    ),
+)
+def test_dispatch_order_matches_sorted_reference(delays, cancel_idx, segments):
+    expected = _drive(_SortedListReference(), delays, cancel_idx, segments)
+    assert _drive(Simulator(), delays, cancel_idx, segments) == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    delays=st.lists(
+        st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_reschedule_during_run_matches_sorted_reference(delays):
+    """Events scheduled from inside callbacks dispatch in reference order."""
+
+    def drive(sim):
+        log = []
+
+        def chain(depth, label):
+            log.append((sim.now, label))
+            if depth > 0:
+                sim.schedule(delays[label % len(delays)], chain, depth - 1, label + 1)
+
+        for i, d in enumerate(delays):
+            sim.schedule(d, chain, 3, i)
+        sim.run()
+        return log
+
+    assert drive(Simulator()) == drive(_SortedListReference())

@@ -24,13 +24,13 @@ from repro.traffic.sources import CBRSource
 
 class TestLivePending:
     def test_live_counter_tracks_lazy_cancellation(self):
-        sim = Simulator(scheduler="heap")
+        sim = Simulator()
         events = [sim.schedule(float(i + 1), lambda: None) for i in range(5)]
         assert sim.pending() == 5
         assert sim.pending(live=True) == 5
         events[0].cancel()
         events[3].cancel()
-        # Lazily cancelled entries still occupy the scheduler...
+        # Lazily cancelled entries still occupy the heap...
         assert sim.pending() == 5
         # ...but the live count excludes them.
         assert sim.pending(live=True) == 3
@@ -78,13 +78,14 @@ class TestTimerJitterClamp:
 class TestEventFreelist:
     def test_fired_events_are_recycled(self):
         sim = Simulator()
-        sim.schedule(1.0, lambda: None)
-        first = sim._sched.pop()[2]
-        sim._sched.push((first.time, 1, first))
+        fired = []
+        first = sim.schedule(1.0, fired.append, "a")
         sim.run()
-        ev = sim.schedule(1.0, lambda: None)
+        ev = sim.schedule(1.0, fired.append, "b")
         assert ev is first  # reissued from the freelist
+        assert not ev.cancelled
         sim.run()
+        assert fired == ["a", "b"]
 
     def test_timer_self_cancel_during_fire_is_safe(self):
         sim = Simulator()
@@ -95,8 +96,8 @@ class TestEventFreelist:
 
 
 class TestBatchedCBR:
-    def _times(self, batch, scheduler="heap", jitter=0.25):
-        sim = Simulator(scheduler=scheduler)
+    def _times(self, batch, jitter=0.25):
+        sim = Simulator()
         host = Host(sim, 1)
         out = []
         host.on_deliver(lambda p: out.append(sim.now))
@@ -109,10 +110,9 @@ class TestBatchedCBR:
     def test_batched_schedule_bit_identical(self):
         base, n = self._times(1)
         for batch in (2, 8, 64):
-            for scheduler in ("heap", "calendar"):
-                got, m = self._times(batch, scheduler)
-                assert got == base
-                assert m == n
+            got, m = self._times(batch)
+            assert got == base
+            assert m == n
 
     def test_stop_cancels_pending_batch(self):
         sim = Simulator()

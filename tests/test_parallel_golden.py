@@ -48,19 +48,21 @@ GOLDEN_POINTS = {
 }
 
 # SHA-256 over canonical JSON (sort_keys) of result_to_dict(...).
-# Last regenerated when the sharded engine was removed: the params dict
-# lost its three sharding fields.  Every simulation value — capture
-# times, throughput curves, event counts — is unchanged; re-inserting
-# those fields with their defaults reproduces the previous digests.
+# Last regenerated when the scheduler policy knob was removed: the
+# params dict lost its ``scheduler`` field and the top-level
+# ``scheduler`` key became the constant "heap".  Every simulation
+# value — capture times, throughput curves, event counts — is
+# unchanged; setting ``scheduler`` back to None in both places
+# reproduces the previous digests.
 GOLDEN_DIGESTS = {
     "fig8/honeypot-even": (
-        "b5e69121db5991e7d0aebc816be576d533e2506b765df40f4a06f795e1f699b7"
+        "4d48274301f48dfd5fcdd622fbc1b667f559c77640e98fcda9c9f434aa30ac9b"
     ),
     "fig10/pushback-close": (
-        "738aac9a8d80de48762f4f5fab23091de1d184a1b485fff7e2ba2cfe37faec88"
+        "68e4a4a8071b2469bd6a883a75de7a5b3f17695dc03dbf849024a4f38b4d9360"
     ),
     "fig11/none-halfrate": (
-        "3e9c188bda9ab8b186a10ecc9c184111f56d1dc0e01d1db59c6510e0a59a98bc"
+        "942d58b2a4e06511c895aefcdc1b407fc985ed88a7e4e519225939256762593b"
     ),
 }
 
@@ -178,7 +180,7 @@ POLICY_POINTS = {
 class TestPolicyGoldenJournals:
     """Determinism of the adversary-policy subsystem: every policy's
     instrumented journal is byte-identical serial vs pooled (1, 2, 4
-    workers) and heap vs calendar scheduler."""
+    workers)."""
 
     @pytest.fixture(scope="class")
     def serial_policy_telemetry(self):
@@ -210,25 +212,6 @@ class TestPolicyGoldenJournals:
         pooled_path = pooled.journal.write_jsonl(tmp_path / f"pool{jobs}.jsonl")
         with open(serial_path, "rb") as a, open(pooled_path, "rb") as b:
             assert a.read() == b.read()
-
-    def test_calendar_scheduler_matches_heap(self, tmp_path):
-        from repro.experiments.runner import run_many
-        from repro.obs import Telemetry
-        from repro.obs.journal import diff_journals
-
-        heap, calendar = Telemetry(), Telemetry()
-        run_many(
-            {k: replace(p, scheduler="heap") for k, p in POLICY_POINTS.items()},
-            telemetry=heap,
-        )
-        run_many(
-            {k: replace(p, scheduler="calendar") for k, p in POLICY_POINTS.items()},
-            telemetry=calendar,
-        )
-        assert diff_journals(heap.journal, calendar.journal) is None
-        a = heap.journal.write_jsonl(tmp_path / "heap.jsonl")
-        b = calendar.journal.write_jsonl(tmp_path / "calendar.jsonl")
-        assert open(a, "rb").read() == open(b, "rb").read()
 
     def test_policy_events_present(self, serial_policy_telemetry):
         journal = serial_policy_telemetry.journal

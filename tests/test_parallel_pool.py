@@ -318,21 +318,28 @@ class TestCheckpointParams:
 
 
 class TestSweepCommandExitCodes:
-    def test_partial_failure_exit_code(self, tmp_path, capsys):
+    # Each point fails deterministically, is retried, then quarantined:
+    # n_attackers=999 exceeds n_leaves at every scale, and a NaN
+    # attacker rate is rejected by the CBR sources (it would otherwise
+    # yield NaN event times).
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n_attackers", "999"), ("attacker_rate", "nan")],
+        ids=["n_attackers=999", "attacker_rate=nan"],
+    )
+    def test_partial_failure_exit_code(self, tmp_path, capsys, field, value):
         from repro.cli import main
 
-        # n_attackers=999 exceeds n_leaves at every scale: the task
-        # fails deterministically, is retried, then quarantined.
         out = tmp_path / "sweep.json"
         code = main([
-            "sweep", "--field", "n_attackers", "--values", "999",
+            "sweep", "--field", field, "--values", value,
             "--scale", "quick", "--max-attempts", "2",
             "--out", str(out),
         ])
         assert code == PARTIAL_FAILURE_EXIT
         art = json.loads(out.read_text())
         assert art["schema"] == "repro.sweep/1"
-        assert art["quarantined"] == ["n_attackers=999/seed=0"]
+        assert art["quarantined"] == [f"{field}={value}/seed=0"]
         assert not art["ok"]
         assert "QUARANTINED" in capsys.readouterr().out
 

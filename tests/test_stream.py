@@ -105,7 +105,6 @@ class TestStreamFile:
         final = records[-1]
         assert final["reason"] == "final"
         assert final["engine"]["events"] > 0
-        assert final["engine"]["scheduler"]
         assert final["obs"]["snapshots"] == len(records) - 1
         # Sim-time ticker actually fired during the run (TINY lasts
         # 12 sim-seconds, the interval is 2).
@@ -196,10 +195,27 @@ class TestInvariants:
         assert off == on
 
     def test_results_identical_streaming_on_vs_off(self, tmp_path, tiny_stream):
+        """Plain, telemetered, streamed and attributed runs all go
+        through the one dispatch loop; the outcome is identical."""
+        from repro.experiments.runner import result_to_dict
+
         _, streamed = tiny_stream
-        plain = run_tree_scenario(TINY)
-        assert plain.capture_times == streamed.capture_times
-        assert plain.legit_pct == streamed.legit_pct
+        stream_cfg = StreamConfig(
+            path=str(tmp_path / "s.stream.jsonl"), interval=2.0, check_stride=64
+        )
+        plain = result_to_dict(run_tree_scenario(TINY))
+        runs = {
+            "telemetry": run_tree_scenario(TINY, telemetry=Telemetry()),
+            "telemetry+stream": run_tree_scenario(
+                TINY, telemetry=Telemetry(), stream=stream_cfg
+            ),
+            "telemetry+profile": run_tree_scenario(
+                TINY, telemetry=Telemetry(), profile=True
+            ),
+            "stream": streamed,
+        }
+        for name, result in runs.items():
+            assert result_to_dict(result) == plain, name
 
     def test_wall_cap_fires_when_sim_time_crawls(self, tmp_path):
         cfg = StreamConfig(
@@ -215,8 +231,7 @@ class TestInvariants:
         assert "tick" not in reasons
 
     def test_engine_pulses_stream_without_profiler(self, tmp_path):
-        # sim.profiler stays None; the stream alone routes run() through
-        # the instrumented loop.
+        # sim.profiler stays None; run() pulses the stream on its own.
         sim = Simulator()
         cfg = StreamConfig(
             path=str(tmp_path / "bare.stream.jsonl"),
@@ -377,7 +392,7 @@ class TestWatch:
         from repro.cli import main
 
         monkeypatch.setattr(
-            figures, "_scenario_base", lambda scale, scheduler=None: TINY
+            figures, "_scenario_base", lambda scale: TINY
         )
         path = str(tmp_path / "cli.stream.jsonl")
         rc = main(
