@@ -25,7 +25,6 @@ Usage::
     python -m repro kinds
     python -m repro profile --scale quick --trace run.trace.json
     python -m repro critical-path run.jsonl
-    python -m repro shardplan run.jsonl --by as --out plan.json
     python -m repro report run.jsonl --critical --html report.html
 
 ``--metrics-out FILE`` on a figure command (and on ``stats`` and
@@ -58,13 +57,11 @@ the CI regression gate.
 The performance-observability commands analyse the causal journal
 *after* the run ("profile the journal, not the run"): ``profile`` runs
 a scenario with per-dimension engine attribution (wall-time per
-callback kind × module × subtree shard), ``critical-path`` computes
-work/span/available-parallelism and explains what bounded each capture,
-``shardplan`` evaluates a candidate topology cut (per-shard load,
-cross-shard edges, conservative lookahead), ``kinds`` prints the
-``repro.journal/1`` event vocabulary, and ``--trace FILE`` on the
-analysis commands exports a Chrome trace-event JSON loadable in
-Perfetto (https://ui.perfetto.dev).  All journal-reading commands
+callback kind × module), ``critical-path`` computes
+work/span/available-parallelism and explains what bounded each
+capture, ``kinds`` prints the ``repro.journal/1`` event vocabulary,
+and ``--trace FILE`` on both analysis commands exports a Chrome
+trace-event JSON loadable in Perfetto (https://ui.perfetto.dev).  All journal-reading commands
 accept gzip-compressed ``*.jsonl.gz`` files transparently.
 
 ``--jobs N`` (or ``$REPRO_JOBS``) fans independent scenario runs out
@@ -81,7 +78,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import Optional, Sequence
+from typing import Optional, Sequence, get_args, get_type_hints
 
 from .analysis.capture_time import capture_time
 from .experiments.figures import FIGURES, figure
@@ -231,66 +228,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_stream_dir_args(w)
 
-    lint_p = sub.add_parser(
+    # Listed here for `repro --help` only: main() hands everything
+    # after `lint` to repro.lint.runner.main, which owns the options.
+    sub.add_parser(
         "lint",
+        add_help=False,
         help="statically check the determinism & reproducibility "
         "invariants (per-file rules RPL001-005, whole-program passes "
-        "RPL1xx/2xx/3xx via --project)",
-    )
-    lint_p.add_argument(
-        "paths",
-        nargs="*",
-        default=["src"],
-        help="files or directories to lint (default: src)",
-    )
-    lint_p.add_argument(
-        "--project",
-        nargs="?",
-        const="src",
-        default=None,
-        metavar="ROOT",
-        help="also run the whole-program passes over ROOT (default: src)",
-    )
-    lint_p.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="parse the project with N worker processes",
-    )
-    lint_p.add_argument(
-        "--format",
-        choices=("text", "sarif"),
-        default="text",
-        help="output format: human-readable text or SARIF 2.1.0",
-    )
-    lint_p.add_argument(
-        "--output",
-        metavar="FILE",
-        default=None,
-        help="write the report to FILE instead of stdout",
-    )
-    lint_p.add_argument(
-        "--baseline",
-        metavar="FILE",
-        default=None,
-        help="suppress findings recorded in this baseline; stale "
-        "entries fail the run",
-    )
-    lint_p.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write current findings to --baseline FILE and exit 0",
-    )
-    lint_p.add_argument(
-        "--stats",
-        action="store_true",
-        help="print a one-line summary (files, findings per rule)",
-    )
-    lint_p.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="describe each rule, its rationale, and the whitelist",
+        "RPL1xx/2xx/3xx via --project; see `repro lint --help`)",
     )
 
     s = sub.add_parser(
@@ -344,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     pf = sub.add_parser(
         "profile",
         help="run a scenario with per-dimension engine attribution "
-        "(wall-time per callback kind x module x subtree shard)",
+        "(wall-time per callback kind x module)",
     )
     pf.add_argument(
         "--scale",
@@ -424,38 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="export a Chrome trace-event JSON (open in Perfetto) with "
         "the critical path marked as category 'critical'",
-    )
-
-    sp = sub.add_parser(
-        "shardplan",
-        help="evaluate a candidate shard cut over a journal: load "
-        "balance, cross-shard edges, conservative-DES lookahead",
-    )
-    sp.add_argument(
-        "journal",
-        metavar="JOURNAL",
-        help="journal JSONL file (.gz ok) or repro.obs/1 artifact JSON",
-    )
-    sp.add_argument(
-        "--by",
-        default="as",
-        metavar="PARTITION",
-        help="partition mode: as, honeypot, router, or attr:<name> "
-        "(default: as); unattributed events inherit their causal "
-        "parent's shard",
-    )
-    sp.add_argument(
-        "--out",
-        metavar="FILE",
-        default=None,
-        help="write the validated repro.shardplan/1 artifact as JSON",
-    )
-    sp.add_argument(
-        "--trace",
-        metavar="FILE",
-        default=None,
-        help="export a Chrome trace-event JSON with each slice "
-        "labeled/categorized by its shard",
     )
 
     sub.add_parser(
@@ -614,6 +527,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if argv[:1] == ["lint"]:
+        from .lint.runner import main as lint_main
+
+        return lint_main(argv[1:])
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "list":
@@ -645,27 +563,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 f"E[capture time] ~= {result.expected:.1f} s"
             )
         return 0
-    if args.command == "lint":
-        from .lint.runner import main as lint_main
-
-        argv_lint = list(args.paths)
-        if args.project is not None:
-            argv_lint += ["--project", args.project]
-        if args.jobs is not None:
-            argv_lint += ["--jobs", str(args.jobs)]
-        if args.format != "text":
-            argv_lint += ["--format", args.format]
-        if args.output is not None:
-            argv_lint += ["--output", args.output]
-        if args.baseline is not None:
-            argv_lint += ["--baseline", args.baseline]
-        if args.write_baseline:
-            argv_lint.append("--write-baseline")
-        if args.stats:
-            argv_lint.append("--stats")
-        if args.list_rules:
-            argv_lint.append("--list-rules")
-        return lint_main(argv_lint)
     if args.command == "sweep":
         return _run_sweep_command(args)
     if args.command == "replay":
@@ -678,8 +575,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _run_profile_command(args)
     if args.command == "critical-path":
         return _run_critical_command(args)
-    if args.command == "shardplan":
-        return _run_shardplan_command(args)
     if args.command == "kinds":
         return _run_kinds_command()
     if args.command == "watch":
@@ -841,19 +736,23 @@ def _stream_spec(args) -> Optional[dict]:
 
 
 def _parse_sweep_values(base, field: str, raw: str) -> list:
-    """Cast comma-separated CLI values to the swept field's type."""
+    """Cast comma-separated CLI values to the swept field's type: the
+    type of its current value, or its declared type when that is None
+    (``t_on: Optional[float] = None`` sweeps floats)."""
     if not hasattr(base, field):
         raise SystemExit(f"error: unknown sweep field {field!r}")
     current = getattr(base, field)
     items = [v.strip() for v in raw.split(",") if v.strip()]
     if not items:
         raise SystemExit("error: --values is empty")
-    if isinstance(current, bool):
+    kind = type(current)
+    if current is None:
+        hint = get_type_hints(type(base))[field]
+        kind = next(a for a in get_args(hint) or (hint,) if a is not type(None))
+    if kind is bool:
         return [v.lower() in ("1", "true", "yes") for v in items]
-    if isinstance(current, int):
-        return [int(v) for v in items]
-    if isinstance(current, float):
-        return [float(v) for v in items]
+    if kind in (int, float):
+        return [kind(v) for v in items]
     return items
 
 
@@ -943,23 +842,24 @@ def _run_replay_command(args) -> int:
         replay_summary,
     )
 
-    if args.check:
-        if len(args.journals) != 2:
-            raise SystemExit("error: --check needs exactly two journals")
-        a, b = (load_journal(p) for p in args.journals)
-        divergence = diff_journals(a, b)
-        if divergence is None:
-            print(f"journals identical ({len(a.events)} events)")
-            return 0
-        print(f"journals diverge at event {divergence['index']}:")
-        print(f"  {divergence['reason']}")
-        print(f"  a: {divergence['a']}")
-        print(f"  b: {divergence['b']}")
-        return 1
-    if len(args.journals) != 1:
+    if args.check and len(args.journals) != 2:
+        raise SystemExit("error: --check needs exactly two journals")
+    if not args.check and len(args.journals) != 1:
         raise SystemExit("error: replay takes one journal (two with --check)")
     try:
-        journal = load_journal(args.journals[0])
+        journals = [load_journal(p) for p in args.journals]
+        if args.check:
+            a, b = journals
+            divergence = diff_journals(a, b)
+            if divergence is None:
+                print(f"journals identical ({len(a.events)} events)")
+                return 0
+            print(f"journals diverge at event {divergence['index']}:")
+            print(f"  {divergence['reason']}")
+            print(f"  a: {divergence['a']}")
+            print(f"  b: {divergence['b']}")
+            return 1
+        (journal,) = journals
         print(replay_summary(journal))
         if args.tree:
             print(render_tree(journal, max_events=args.max_events))
@@ -974,21 +874,27 @@ def _run_replay_command(args) -> int:
 def _run_report_command(args) -> int:
     from .obs.journal import JournalError, load_journal, render_html, render_tree
 
+    # Render everything before writing or printing anything: a
+    # malformed journal fails with no partial HTML file left behind.
     try:
         journal = load_journal(args.journal)
+        critical = None
+        if args.critical:
+            from .obs.critical import critical_report
+
+            critical = critical_report(journal)
+        if args.html:
+            highlight = (
+                [step["id"] for step in critical["critical_path"]]
+                if critical is not None
+                else ()
+            )
+            text = render_html(journal, title=args.title, highlight=highlight)
+        else:
+            text = render_tree(journal, max_events=args.max_events)
     except JournalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    critical = None
-    if args.critical:
-        from .obs.critical import critical_report
-
-        critical = critical_report(journal)
-    highlight = (
-        [step["id"] for step in critical["critical_path"]]
-        if critical is not None
-        else ()
-    )
     if args.html:  # artifact lands before any print (| head survives)
         import os
 
@@ -996,7 +902,7 @@ def _run_report_command(args) -> int:
         if parent:
             os.makedirs(parent, exist_ok=True)
         with open(args.html, "w", encoding="utf-8") as fh:
-            fh.write(render_html(journal, title=args.title, highlight=highlight))
+            fh.write(text)
     try:
         if critical is not None:
             from .obs.critical import render_critical
@@ -1004,18 +910,16 @@ def _run_report_command(args) -> int:
             print(render_critical(critical, top=0))
         if args.html:
             print(f"HTML report written to {args.html}")
-            return 0
-        print(render_tree(journal, max_events=args.max_events))
+        else:
+            print(text)
     except BrokenPipeError:
         pass
     return 0
 
 
-def _export_trace(
-    journal, path: str, critical=None, shards=None
-) -> str:
+def _export_trace(journal, path: str, critical=None) -> str:
     """Write a Perfetto-loadable trace for ``journal`` (helper shared by
-    the profile/critical-path/shardplan commands)."""
+    the profile and critical-path commands)."""
     from .obs.traceexport import journal_to_trace, write_trace
 
     critical_ids = (
@@ -1025,7 +929,7 @@ def _export_trace(
     )
     return write_trace(
         path,
-        journal_to_trace(journal, critical_ids=critical_ids, shards=shards),
+        journal_to_trace(journal, critical_ids=critical_ids),
     )
 
 
@@ -1047,13 +951,11 @@ def _run_profile_command(args) -> int:
     trace_path = None
     if args.trace:
         from .obs.critical import critical_report
-        from .obs.shardplan import assign_shards
 
         trace_path = _export_trace(
             telemetry.journal,
             args.trace,
             critical=critical_report(telemetry.journal),
-            shards=assign_shards(telemetry.journal),
         )
     try:
         print(telemetry.render_engine_profile())
@@ -1104,44 +1006,6 @@ def _run_critical_command(args) -> int:
         print(render_critical(report, top=args.top))
         if json_path:
             print(f"critical-path report written to {json_path}")
-        if trace_path:
-            print(f"Perfetto trace written to {trace_path}")
-    except BrokenPipeError:
-        pass
-    return 0
-
-
-def _run_shardplan_command(args) -> int:
-    from .obs.journal import JournalError, load_journal
-    from .obs.shardplan import (
-        ShardPlanError,
-        assign_shards,
-        render_shardplan,
-        shard_plan,
-        validate_shardplan,
-    )
-
-    try:
-        journal = load_journal(args.journal)
-        plan = shard_plan(journal, by=args.by)
-    except (JournalError, ShardPlanError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    validate_shardplan(plan)  # the emitted artifact is always valid
-    out_path = None
-    if args.out:
-        from .obs.export import write_json
-
-        out_path = write_json(args.out, plan)
-    trace_path = None
-    if args.trace:
-        trace_path = _export_trace(
-            journal, args.trace, shards=assign_shards(journal, by=args.by)
-        )
-    try:
-        print(render_shardplan(plan))
-        if out_path:
-            print(f"shardplan artifact written to {out_path}")
         if trace_path:
             print(f"Perfetto trace written to {trace_path}")
     except BrokenPipeError:

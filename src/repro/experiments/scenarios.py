@@ -37,7 +37,6 @@ from ..topology.tree import (
     assign_roles,
     build_tree_topology,
     split_amplifiers,
-    subtree_partition,
 )
 from ..traffic.amplifier import AmplifierApp
 from ..traffic.client import RoamingClientApp, StaticClientApp
@@ -226,9 +225,8 @@ def run_tree_scenario(
 
     ``profile=True`` (requires ``telemetry``) enables the engine's
     dimensional attribution: per-event wall-time charged to callback
-    kind × module × per-subtree shard label
-    (:func:`~repro.topology.tree.subtree_partition`).  Attribution only
-    reads — journals stay byte-identical with profiling on or off.
+    kind × module.  Attribution only reads — journals stay
+    byte-identical with profiling on or off.
     """
     if not 0 <= params.n_attackers <= params.n_leaves:
         raise ValueError("n_attackers out of range")
@@ -276,9 +274,7 @@ def run_tree_scenario(
     if telemetry is not None:
         telemetry.bind(net.sim)
         if profile:
-            telemetry.profiler.enable_dimensions(
-                site_of=subtree_partition(topo).get
-            )
+            telemetry.profiler.enable_dimensions()
     streamer = None
     if stream is not None:
         from ..obs import Telemetry

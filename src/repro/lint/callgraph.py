@@ -3,8 +3,8 @@
 Built for one question: *which functions can run inside a simulation
 event handler?*  The shard-safety pass (RPL1xx) must not flag setup
 code that populates module tables at import time, only code reachable
-from a ``Scheduler``/``Timer`` callback — the code that will execute
-concurrently once one scenario is partitioned across worker shards.
+from a ``Scheduler``/``Timer`` callback — the code whose writes outlive
+the scenario that ran them.
 
 Resolution is name-based and deliberately over-approximate:
 

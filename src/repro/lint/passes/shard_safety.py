@@ -1,25 +1,28 @@
 """RPL1xx — shard-safety: no shared mutable state behind event handlers.
 
-A run is deterministic across pool workers, replays and any partition
-of its topology only if event handlers communicate exclusively through
-the scheduler (messages/events), never through memory shared behind
-the scheduler's back.  These passes check the three ways Python code
-acquires such sharing:
+A run is deterministic across pool workers and replays only if event
+handlers communicate exclusively through the scheduler (messages/events),
+never through memory shared behind the scheduler's back.  State a
+handler writes outside its own instances outlives the scenario and
+leaks into the next one the same process runs: every later scenario of
+a serial ``run_many``, or the next task of a pool worker that runs
+several.  Serial and pooled journals then diverge.  These passes check
+the three ways Python code acquires such sharing:
 
 * **RPL101** — a handler-reachable function writes module-level
   mutable state: rebinds a ``global``, or mutates a module-level
   container (its own module's or one imported from another module).
-  Module state is process-wide; two shards would race on it, and a
-  single-process replay would order the writes differently.
+  Module state is process-wide, so it carries over into the next
+  scenario the process runs.
 * **RPL102** — class-level mutable containers (``class C: cache = {}``)
   or writes through the class object (``C.x = ...``, ``cls.x = ...``,
   ``type(self).x = ...``).  Class attributes are shared by *all*
-  instances, so two hosts on different shards silently share a dict.
+  instances, so two hosts silently share a dict — within a run and
+  with every later run in the process.
 * **RPL103** — ``__init__`` stores a mutable-container parameter
   without a defensive copy (``self.attrs = attrs``).  The captured
   container aliases the caller's object; mutations on either side leak
-  across the component boundary — and across shards once components
-  are distributed.
+  across the component boundary.
 """
 
 from __future__ import annotations
@@ -42,8 +45,9 @@ class HandlerWritesModuleState(ProjectRule):
     name = "no module-state writes in event handlers"
     rationale = (
         "functions reachable from Scheduler/Timer callbacks must not write "
-        "module-level mutable state: it is shared process-wide, so sharded "
-        "workers would race on it and replay order would diverge"
+        "module-level mutable state: it is process-wide, so it leaks into "
+        "the next scenario the process runs (a serial run_many, a pool "
+        "worker's next task) and serial and pooled journals diverge"
     )
 
     def check(self, project: Project) -> Iterator[Diagnostic]:
@@ -79,7 +83,7 @@ class HandlerWritesModuleState(ProjectRule):
                     line,
                     col,
                     f"handler-reachable '{qual}' mutates {where} container "
-                    f"'{owner_name}' via '{chain}' — shared across shards",
+                    f"'{owner_name}' via '{chain}' — shared process-wide",
                 )
 
     @staticmethod
@@ -103,7 +107,7 @@ class SharedClassState(ProjectRule):
     rationale = (
         "class attributes are shared by every instance; a class-level "
         "container or a write through the class object couples hosts/routers "
-        "that sharding must keep independent"
+        "within a run and leaks into later scenarios in the same process"
     )
 
     def check(self, project: Project) -> Iterator[Diagnostic]:
@@ -142,7 +146,7 @@ class CapturedContainerParam(ProjectRule):
     rationale = (
         "storing a caller-owned list/dict/set without copying aliases state "
         "across components; a later mutation on either side leaks through "
-        "the boundary and breaks shard isolation"
+        "the boundary"
     )
 
     def check(self, project: Project) -> Iterator[Diagnostic]:

@@ -283,9 +283,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         const="src",
         default=None,
         metavar="ROOT",
-        help="also run the whole-program passes (RPL1xx shard-safety, "
-        "RPL2xx RNG streams, RPL3xx journal schema) over ROOT "
-        "(default when flag is given: src)",
+        help="also run the whole-program passes over ROOT (default "
+        "when the flag is given: src): RPL1xx shard-safety (no "
+        "handler-written module or class state, which leaks between "
+        "scenarios sharing a process and makes serial and pooled "
+        "journals diverge), RPL2xx RNG streams, RPL3xx journal schema",
     )
     parser.add_argument(
         "--jobs",

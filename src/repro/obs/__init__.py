@@ -19,12 +19,11 @@ telemetry as "observability off" and skip all instrumentation.
 terminal view.  Streaming is strictly read-only — journals are
 byte-identical with it on or off.
 
-:mod:`repro.obs.critical`, :mod:`repro.obs.shardplan`, and
-:mod:`repro.obs.traceexport` are the *replay-side* analysis layer:
-work/span/available-parallelism over the causal journal, evaluation
-of candidate topology cuts, and Chrome
-trace-event export for Perfetto — all computed from journal files
-after the run, never from the engine.
+:mod:`repro.obs.critical` and :mod:`repro.obs.traceexport` are the
+*replay-side* analysis layer: work/span/available-parallelism and
+per-capture causal chains over the journal, and Chrome trace-event
+export for Perfetto — both computed from journal files after the run,
+never from the engine.
 """
 
 from .critical import (
@@ -71,14 +70,6 @@ from .registry import (
     Histogram,
     MetricsRegistry,
 )
-from .shardplan import (
-    SHARDPLAN_SCHEMA,
-    ShardPlanError,
-    assign_shards,
-    render_shardplan,
-    shard_plan,
-    validate_shardplan,
-)
 from .stream import (
     STREAM_SCHEMA,
     StreamConfig,
@@ -122,15 +113,12 @@ __all__ = [
     "POOL_STATUS_SCHEMA",
     "REGRESS_SCHEMA",
     "RegressReport",
-    "SHARDPLAN_SCHEMA",
     "STREAM_SCHEMA",
-    "ShardPlanError",
     "StreamConfig",
     "StreamError",
     "TRACE_SCHEMA",
     "Telemetry",
     "TelemetryStreamer",
-    "assign_shards",
     "build_tree",
     "causal_chain",
     "compare_to_baseline",
@@ -143,7 +131,6 @@ __all__ = [
     "parse_exposition",
     "read_stream",
     "render_critical",
-    "render_shardplan",
     "registry_to_openmetrics",
     "registry_to_prometheus",
     "render_html",
@@ -154,10 +141,8 @@ __all__ = [
     "replay_summary",
     "resolve_stream_interval",
     "series_to_csv",
-    "shard_plan",
     "stream_path_for",
     "tail_record",
-    "validate_shardplan",
     "validate_stream",
     "validate_trace",
     "watch_follow",

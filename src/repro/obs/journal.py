@@ -294,7 +294,12 @@ class Journal:
                 line = line.strip()
                 if not line:
                     continue
-                d = json.loads(line)
+                try:
+                    d = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise JournalError(
+                        f"{os.fspath(path)}:{lineno + 1}: not JSON ({exc})"
+                    ) from None
                 if lineno == 0:
                     schema = d.get("schema")
                     if schema != JOURNAL_SCHEMA:

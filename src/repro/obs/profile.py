@@ -16,13 +16,10 @@ Tracked per simulator, accumulated across ``run()`` calls:
 
 Dimensional attribution (:meth:`EngineProfiler.enable_dimensions`) adds
 an opt-in second level: per dispatched event the engine brackets the
-callback with a wall-clock timer and charges ``(kind, module, site)``,
-where *kind* is the callback's qualified name, *module* its defining
-module (``repro.`` prefix trimmed), and *site* the topology location
-resolved from the callback's bound instance — the node address, mapped
-through an optional ``site_of`` partition function (e.g. per-AS subtree
-labels from :func:`repro.topology.tree.subtree_partition`).  The loop
-only times callbacks when dimensions are on, and the charge
+callback with a wall-clock timer and charges ``(kind, module)``, where
+*kind* is the callback's qualified name and *module* its defining
+module (``repro.`` prefix trimmed).  The loop only times callbacks
+when dimensions are on, and the charge
 (:meth:`EngineProfiler.charger`) only ever *reads* engine state, so the
 causal journal is byte-identical with attribution on or off.
 """
@@ -33,8 +30,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 __all__ = ["EngineProfiler"]
 
-# Dimension key: (callback qualname, defining module, topology site).
-DimKey = Tuple[str, str, str]
+# Dimension key: (callback qualname, defining module).
+DimKey = Tuple[str, str]
 
 
 def _trim_module(module: str) -> str:
@@ -52,9 +49,7 @@ class EngineProfiler:
         "sim_time",
         "heap_hwm",
         "dims",
-        "site_of",
         "kind_cache",
-        "site_cache",
     )
 
     def __init__(self) -> None:
@@ -64,15 +59,12 @@ class EngineProfiler:
         self.sim_time = 0.0
         self.heap_hwm = 0
         # Dimensional attribution state; None until enable_dimensions().
-        # dims maps (kind, module, site) -> [event count, wall seconds].
+        # dims maps (kind, module) -> [event count, wall seconds].
         self.dims: Optional[Dict[DimKey, List[float]]] = None
-        self.site_of: Optional[Callable[[int], Optional[str]]] = None
-        # Per-function (kind, module) and per-instance site memos.  Keys
-        # are the objects themselves (never ``id()`` — ids are recycled
-        # by the allocator); the cached callables/instances live for the
-        # duration of the run anyway.
-        self.kind_cache: Dict[Any, Tuple[str, str]] = {}
-        self.site_cache: Dict[Any, str] = {}
+        # Per-function (kind, module) memo.  Keys are the functions
+        # themselves (never ``id()`` — ids are recycled by the
+        # allocator); they live for the duration of the run anyway.
+        self.kind_cache: Dict[Any, DimKey] = {}
 
     # ------------------------------------------------------------------
     def attach(self, sim: Any) -> "EngineProfiler":
@@ -83,21 +75,15 @@ class EngineProfiler:
             self.heap_hwm = live
         return self
 
-    def enable_dimensions(
-        self, site_of: Optional[Callable[[int], Optional[str]]] = None
-    ) -> "EngineProfiler":
-        """Turn on per-``(kind, module, site)`` attribution.
+    def enable_dimensions(self) -> "EngineProfiler":
+        """Turn on per-``(kind, module)`` attribution.
 
-        ``site_of`` maps a node address to a partition label (unknown
-        addresses fall back to ``n<addr>``).  Existing accumulated
-        dimensions are kept — a shared serial profiler accumulates
-        across scenario runs exactly like the scalar counters do.
+        Existing accumulated dimensions are kept — a shared serial
+        profiler accumulates across scenario runs exactly like the
+        scalar counters do.
         """
         if self.dims is None:
             self.dims = {}
-        if site_of is not None:
-            self.site_of = site_of
-            self.site_cache.clear()
         return self
 
     def record_run(self, events: int, wall: float, sim_delta: float) -> None:
@@ -113,29 +99,14 @@ class EngineProfiler:
 
     def charger(self) -> Callable[[Callable[..., Any], float], None]:
         """A ``charge(fn, dt)`` for one ``run()`` with dimensions on:
-        adds one event and ``dt`` wall seconds to the ``(kind, module,
-        site)`` cell of the dispatched callback ``fn``."""
+        adds one event and ``dt`` wall seconds to the ``(kind, module)``
+        cell of the dispatched callback ``fn``."""
         dims = self.dims
         assert dims is not None
         resolve_kind = self.dimension_kind
-        resolve_site = self.dimension_site
-        # Per-callback memo for the fully resolved dimension key.  Bound
-        # methods are fresh objects per schedule() call, so the memo is
-        # keyed by (underlying function, bound instance) — both stable
-        # and already alive while their events are pending.
-        key_cache: Dict[Any, DimKey] = {}
 
         def charge(fn: Callable[..., Any], dt: float) -> None:
-            ckey: Any = (getattr(fn, "__func__", fn), getattr(fn, "__self__", None))
-            try:
-                key = key_cache.get(ckey)
-            except TypeError:  # unhashable instance: no memo
-                ckey = key = None
-            if key is None:
-                kind, module = resolve_kind(fn)
-                key = (kind, module, resolve_site(fn))
-                if ckey is not None:
-                    key_cache[ckey] = key
+            key = resolve_kind(fn)
             cell = dims.get(key)
             if cell is None:
                 dims[key] = [1, dt]
@@ -145,10 +116,7 @@ class EngineProfiler:
 
         return charge
 
-    # ------------------------------------------------------------------
-    # Dimension resolution (miss path of the charge memo)
-    # ------------------------------------------------------------------
-    def dimension_kind(self, fn: Callable[..., Any]) -> Tuple[str, str]:
+    def dimension_kind(self, fn: Callable[..., Any]) -> DimKey:
         """``(kind, module)`` for a dispatched callback (memoized)."""
         func = getattr(fn, "__func__", fn)
         cached = self.kind_cache.get(func)
@@ -159,43 +127,6 @@ class EngineProfiler:
             )
             self.kind_cache[func] = cached
         return cached
-
-    def dimension_site(self, fn: Callable[..., Any]) -> str:
-        """Topology site label for a callback's bound instance.
-
-        Resolution: the instance's own ``addr``; else the ``addr`` of a
-        referenced node (``dst`` for channels, then ``host`` / ``router``
-        / ``node`` / ``owner``); plain functions and unplaced objects
-        land on ``-`` / the class name.  Addresses map through
-        ``site_of`` when set.
-        """
-        inst = getattr(fn, "__self__", None)
-        if inst is None:
-            return "-"
-        cache: Optional[Dict[Any, str]] = self.site_cache
-        try:
-            cached = self.site_cache.get(inst)
-        except TypeError:  # unhashable instance: resolve every time
-            cached, cache = None, None
-        if cached is not None:
-            return cached
-        addr: Optional[int] = getattr(inst, "addr", None)
-        if addr is None:
-            for ref in ("dst", "host", "router", "node", "owner"):
-                holder = getattr(inst, ref, None)
-                if holder is not None:
-                    addr = getattr(holder, "addr", None)
-                    if addr is not None:
-                        break
-        if addr is None:
-            site = type(inst).__name__
-        else:
-            site_of = self.site_of
-            label = site_of(addr) if site_of is not None else None
-            site = label if label is not None else f"n{addr}"
-        if cache is not None:
-            cache[inst] = site
-        return site
 
     # ------------------------------------------------------------------
     # Merging (pooled runs: repro.parallel.merge.absorb_artifact)
@@ -208,20 +139,24 @@ class EngineProfiler:
             {
                 "kind": kind,
                 "module": module,
-                "site": site,
                 "events": int(cell[0]),
                 "wall_s": cell[1],
             }
-            for (kind, module, site), cell in sorted(self.dims.items())
+            for (kind, module), cell in sorted(self.dims.items())
         ]
 
     def merge_dimension_rows(self, rows: List[Dict[str, Any]]) -> None:
-        """Fold another profiler's :meth:`dimension_rows` into ours."""
+        """Fold another profiler's :meth:`dimension_rows` into ours.
+
+        Rows from older artifacts and checkpoints may carry a ``site``
+        key; it is ignored, so they fold into their ``(kind, module)``
+        cell.
+        """
         if self.dims is None:
             self.dims = {}
         dims = self.dims
         for row in rows:
-            key = (str(row["kind"]), str(row["module"]), str(row["site"]))
+            key = (str(row["kind"]), str(row["module"]))
             cell = dims.get(key)
             if cell is None:
                 dims[key] = [int(row["events"]), float(row["wall_s"])]
@@ -257,16 +192,15 @@ class EngineProfiler:
         rows = self.dimension_rows()
         if not rows:
             return ""
-        rows.sort(key=lambda r: (-r["wall_s"], r["kind"], r["site"]))
+        rows.sort(key=lambda r: (-r["wall_s"], r["kind"], r["module"]))
         total = sum(r["wall_s"] for r in rows) or 1.0
         lines = [f"per-dimension attribution (top {min(top, len(rows))} of "
                  f"{len(rows)} by wall time):"]
-        lines.append("    wall_s   %wall    events  kind @ site [module]")
+        lines.append("    wall_s   %wall    events  kind [module]")
         for row in rows[:top]:
             lines.append(
                 f"  {row['wall_s']:8.4f}  {100.0 * row['wall_s'] / total:5.1f}%"
-                f"  {row['events']:8d}  {row['kind']} @ {row['site']}"
-                f" [{row['module']}]"
+                f"  {row['events']:8d}  {row['kind']} [{row['module']}]"
             )
         return "\n".join(lines)
 

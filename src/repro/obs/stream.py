@@ -32,6 +32,7 @@ select *when* to snapshot, never *what* the simulation computes.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from time import monotonic, perf_counter
@@ -113,10 +114,15 @@ class StreamConfig:
     check_stride: int = DEFAULT_CHECK_STRIDE
 
     def __post_init__(self) -> None:
-        if self.interval <= 0:
-            raise StreamError(f"interval must be positive (got {self.interval})")
-        if self.wall_cap is not None and self.wall_cap <= 0:
-            raise StreamError(f"wall_cap must be positive (got {self.wall_cap})")
+        # Negated tests so NaN fails them too.
+        if not 0 < self.interval < math.inf:
+            raise StreamError(
+                f"interval must be positive and finite (got {self.interval})"
+            )
+        if self.wall_cap is not None and not 0 < self.wall_cap < math.inf:
+            raise StreamError(
+                f"wall_cap must be positive and finite (got {self.wall_cap})"
+            )
         stride = self.check_stride
         if stride < 1 or (stride & (stride - 1)) != 0:
             raise StreamError(

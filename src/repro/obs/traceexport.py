@@ -15,10 +15,9 @@ Mapping:
 * root events become instant events (``ph: "i"``);
 * timestamps are microseconds of simulated time (the trace clock is
   the simulation clock, not wall time);
-* slice categories carry the analysis overlays: events on the
-  time-weighted critical path get category ``critical`` (filterable in
-  the UI), and a shard assignment (``repro.obs.shardplan``) labels
-  every slice with its shard.
+* events on the time-weighted critical path get category
+  ``critical`` (filterable in the UI); every other event is
+  ``journal``.
 
 The export is pure replay-side analysis — built from the journal file
 alone, usable long after the run, on any byte-identical journal.
@@ -28,7 +27,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Collection, Dict, List, Optional, Sequence
+from typing import Any, Collection, Dict, List
 
 from .export import write_json
 from .journal import JOURNAL_SCHEMA, Journal, build_tree
@@ -50,23 +49,15 @@ _REQUIRED_EVENT_KEYS = ("name", "ph", "ts", "pid", "tid")
 def journal_to_trace(
     journal: Journal,
     critical_ids: Collection[int] = (),
-    shards: Optional[Sequence[str]] = None,
     title: str = "repro journal",
 ) -> Dict[str, Any]:
     """Build the Chrome trace-event document for a journal.
 
     ``critical_ids`` marks events with category ``critical``
-    (:func:`repro.obs.critical.critical_report`'s ``critical_path``);
-    ``shards`` is an optional per-event shard label list in id order
-    (:func:`repro.obs.shardplan.assign_shards`) carried in each slice's
-    ``args`` and used as the category for non-critical slices.
+    (:func:`repro.obs.critical.critical_report`'s ``critical_path``).
     """
     roots, children = build_tree(journal)
     events = journal.events
-    if shards is not None and len(shards) != len(events):
-        raise ValueError(
-            f"shards has {len(shards)} labels for {len(events)} events"
-        )
     marked = frozenset(critical_ids)
 
     # Thread = causal tree: map every event to its root's lane.
@@ -101,10 +92,7 @@ def journal_to_trace(
     for event in events:
         args: Dict[str, Any] = {"id": event.event_id}
         args.update(event.attrs)
-        shard = shards[event.event_id] if shards is not None else None
-        if shard is not None:
-            args["shard"] = shard
-        cat = "critical" if event.event_id in marked else (shard or "journal")
+        cat = "critical" if event.event_id in marked else "journal"
         parent = event.parent_id
         record: Dict[str, Any]
         if parent is None:

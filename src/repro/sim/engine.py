@@ -206,8 +206,8 @@ class Simulator:
 
         An attached profiler gets the run's wall time, event count and
         live-pending high-water mark; with dimensions enabled each
-        callback is also timed and charged to its ``(kind, module,
-        site)`` cell.  An attached streamer is pulsed once every
+        callback is also timed and charged to its ``(kind, module)``
+        cell.  An attached streamer is pulsed once every
         ``check_stride`` dispatched events.  Both only read engine
         state, so the dispatch sequence is the same with or without them.
         """

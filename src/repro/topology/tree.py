@@ -41,7 +41,6 @@ __all__ = [
     "build_tree_topology",
     "assign_roles",
     "split_amplifiers",
-    "subtree_partition",
 ]
 
 Placement = Literal["close", "far", "even"]
@@ -261,45 +260,6 @@ def assign_roles(
     attacker_set = set(attackers)
     clients = [leaf for leaf in topo.leaf_ids if leaf not in attacker_set]
     return attackers, clients
-
-
-def subtree_partition(topo: TreeTopology) -> Dict[int, str]:
-    """Map every node to a shard label: one shard per root-child subtree.
-
-    This is the natural cut of the paper's topology for parallel
-    analysis: the root router's client-side children anchor independent
-    subtrees (shard ``sub<child>``), while the root itself and the
-    server side (server gateway + servers) form the ``core`` shard that
-    every subtree talks to across the bottleneck.  The same labels feed
-    :meth:`repro.obs.profile.EngineProfiler.enable_dimensions` (where
-    does wall-time go, per candidate shard) and the
-    :mod:`repro.obs.shardplan` advisor (what would this cut cost).
-    """
-    part: Dict[int, str] = {topo.root_id: "core", topo.server_router_id: "core"}
-    for sid in topo.server_ids:
-        part[sid] = "core"
-    for child in sorted(topo.graph.neighbors(topo.root_id)):
-        if child == topo.server_router_id:
-            continue
-        if topo.graph.nodes[child].get("role") == "host":
-            # Degenerate subtree: a depth-1 leaf hangs directly off the
-            # root.  A one-host "shard" buys no parallelism and its
-            # access link terminates inside the core, so fold it into
-            # the core shard; a tree made only of such leaves then
-            # partitions into a single shard.
-            part[child] = "core"
-            continue
-        label = f"sub{child}"
-        stack = [child]
-        while stack:
-            node = stack.pop()
-            if node in part:
-                continue
-            part[node] = label
-            stack.extend(
-                n for n in topo.graph.neighbors(node) if n not in part
-            )
-    return part
 
 
 def split_amplifiers(

@@ -113,6 +113,9 @@ class TestJobsAndSweepParsing:
         assert _parse_sweep_values(base, "defense", "none,pushback") == [
             "none", "pushback",
         ]
+        # None-defaulted fields cast by their declared Optional[float].
+        for field in ("t_on", "t_off"):
+            assert _parse_sweep_values(base, field, "3,5") == [3.0, 5.0]
         with pytest.raises(SystemExit):
             _parse_sweep_values(base, "nope", "1")
         with pytest.raises(SystemExit):

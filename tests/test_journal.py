@@ -312,14 +312,39 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["replay", "--check", journal_path])
 
-    def test_replay_invalid_journal_fails(self, tmp_path, capsys):
-        bad = Journal.from_dicts(
-            [{"id": 0, "name": "a", "t": 0.0, "parent": 3, "attrs": {}}]
-        )
+    @pytest.mark.parametrize(
+        "command, content",
+        [
+            pytest.param(command, content, id=f"{''.join(command)}-{content}")
+            for content in ("not-json", "broken-link")
+            for command in (
+                ["replay"],
+                ["replay", "--check"],
+                ["report"],
+                ["report", "--critical"],
+                ["report", "--html"],
+                ["critical-path"],
+            )
+            # --check compares events without validating their links.
+            if not (content == "broken-link" and "--check" in command)
+        ],
+    )
+    def test_replay_invalid_journal_fails(self, command, content, tmp_path, capsys):
         path = tmp_path / "bad.jsonl"
-        bad.write_jsonl(path)
-        assert main(["replay", str(path)]) == 1
-        assert "error" in capsys.readouterr().err
+        if content == "not-json":
+            path.write_text('{"schema": "repro.journal/1", "events": 1}\n{oops\n')
+        else:  # event 0 links to a parent that comes later
+            Journal.from_dicts(
+                [{"id": 0, "name": "a", "t": 0.0, "parent": 3, "attrs": {}}]
+            ).write_jsonl(path)
+        html = tmp_path / "report.html"
+        operands = {"--check": [path, path], "--html": [html, path]}
+        argv = [*command, *map(str, operands.get(command[-1], [path]))]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "Traceback" not in err
+        assert not html.exists()
 
     def test_report_ascii(self, journal_path, capsys):
         assert main(["report", journal_path]) == 0

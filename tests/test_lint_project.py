@@ -21,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.cli import main as cli_main
 from repro.lint import (
     ALL_PROJECT_RULES,
     ALL_RULES,
@@ -396,9 +397,14 @@ class TestCliUx:
         assert "repro lint --stats:" in captured.out
         assert "RPL101=2" in captured.out
 
-    def test_help_documents_exit_codes(self, capsys):
+    @pytest.mark.parametrize(
+        "entry",
+        [lint_main, lambda argv: cli_main(["lint", *argv])],
+        ids=["python-m-repro.lint", "repro-lint"],
+    )
+    def test_help_documents_exit_codes(self, entry, capsys):
         with pytest.raises(SystemExit) as exc:
-            lint_main(["--help"])
+            entry(["--help"])
         assert exc.value.code == 0
         helptext = capsys.readouterr().out
         assert "exit status" in helptext

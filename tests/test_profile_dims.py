@@ -42,22 +42,11 @@ class TestDimensionAccumulator:
         for i in range(10):
             sim.schedule(float(i), sinks[i % 2].on_packet)
         sim.run()
-        rows = prof.dimension_rows()
-        assert sum(r["events"] for r in rows) == prof.events == 10
-        sites = {r["site"] for r in rows}
-        assert sites == {"n1", "n2"}
-        assert all(r["kind"] == "Sink.on_packet" for r in rows)
-
-    def test_site_of_maps_addresses_to_labels(self):
-        prof = EngineProfiler().enable_dimensions(
-            site_of={1: "left", 2: "right"}.get
-        )
-        sim = Simulator()
-        prof.attach(sim)
-        for i, sink in enumerate([Sink(1), Sink(2)]):
-            sim.schedule(float(i), sink.on_packet)
-        sim.run()
-        assert {r["site"] for r in prof.dimension_rows()} == {"left", "right"}
+        # Both instances' events land in one (kind, module) cell.
+        (row,) = prof.dimension_rows()
+        assert row["events"] == prof.events == 10
+        assert (row["kind"], row["module"]) == ("Sink.on_packet", __name__)
+        assert set(row) == {"kind", "module", "events", "wall_s"}
 
     def test_plain_functions_and_unsited_instances(self):
         prof = EngineProfiler().enable_dimensions()
@@ -65,10 +54,15 @@ class TestDimensionAccumulator:
         prof.attach(sim)
         ticks = []
         sim.schedule(0.0, lambda: ticks.append(1))
+        sim.schedule(1.0, ticks.append, 2)  # builtin bound to a list
         sim.run()
-        (row,) = prof.dimension_rows()
-        assert row["site"] == "-"
-        assert ticks == [1]
+        kinds = {row["kind"]: row["events"] for row in prof.dimension_rows()}
+        assert kinds == {
+            "TestDimensionAccumulator.test_plain_functions_and_unsited_"
+            "instances.<locals>.<lambda>": 1,
+            "list.append": 1,
+        }
+        assert ticks == [1, 2]
 
     def test_disabled_profiler_has_no_dimensions(self):
         prof = EngineProfiler()
@@ -82,13 +76,20 @@ class TestDimensionAccumulator:
     def test_merge_accumulates_counts_and_wall(self):
         prof = EngineProfiler()  # merge enables dims implicitly
         rows = [
-            {"kind": "k", "module": "m", "site": "s", "events": 2, "wall_s": 0.5},
-            {"kind": "k", "module": "m", "site": "s", "events": 3, "wall_s": 0.25},
+            {"kind": "k", "module": "m", "events": 2, "wall_s": 0.5},
+            {"kind": "k", "module": "m", "events": 3, "wall_s": 0.25},
+            # Older artifacts carry a per-shard "site" key; it is
+            # ignored, so such rows fold into their (kind, module) cell.
+            {"kind": "k", "module": "m", "site": "sub7", "events": 4,
+             "wall_s": 1.0},
+            {"kind": "k", "module": "m", "site": "core", "events": 1,
+             "wall_s": 0.25},
         ]
         prof.merge_dimension_rows(rows)
         (row,) = prof.dimension_rows()
-        assert row["events"] == 5
-        assert row["wall_s"] == pytest.approx(0.75)
+        assert row["events"] == 10
+        assert row["wall_s"] == pytest.approx(2.0)
+        assert "site" not in row
         assert "per-dimension attribution" in prof.render_dimensions()
 
 
@@ -106,8 +107,8 @@ class TestJournalByteIdentity:
         rows = tele.profiler.dimension_rows()
         assert rows, "profiled run produced no dimensions"
         assert sum(r["events"] for r in rows) == tele.profiler.events
-        # Site labels come from the subtree partition of the topology.
-        assert any(r["site"].startswith("sub") for r in rows)
+        keys = [(r["kind"], r["module"]) for r in rows]
+        assert len(keys) == len(set(keys))  # one row per (kind, module)
 
 
 class TestPooledDimensionMerge:

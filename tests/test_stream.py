@@ -68,7 +68,15 @@ class TestConfig:
             StreamConfig(path=str(tmp_path / "s"), check_stride=stride)
 
     @pytest.mark.parametrize(
-        "kwargs", [{"interval": 0.0}, {"interval": -1.0}, {"wall_cap": 0.0}]
+        "kwargs",
+        [
+            {"interval": 0.0},
+            {"interval": -1.0},
+            {"wall_cap": 0.0},
+            {"interval": float("nan")},
+            {"interval": float("inf")},
+            {"wall_cap": float("nan")},
+        ],
     )
     def test_rejects_nonpositive_cadence(self, kwargs, tmp_path):
         with pytest.raises(StreamError):

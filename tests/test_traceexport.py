@@ -63,19 +63,17 @@ class TestJournalToTrace:
                 by_name.setdefault(e["name"], set()).add(e["tid"])
         assert len(by_name["session_open"]) == 2  # one lane per tree
 
-    def test_critical_overlay_wins_over_shard(self):
-        j = make_journal()
-        shards = ["s0"] * len(j)
-        doc = journal_to_trace(j, critical_ids=(1,), shards=shards)
+    def test_critical_overlay_category(self):
+        doc = journal_to_trace(make_journal(), critical_ids=(1,))
         cats = {e["args"]["id"]: e["cat"] for e in doc["traceEvents"] if "cat" in e}
-        assert cats[1] == "critical"
-        assert cats[2] == "s0"
-        args = {e["args"]["id"]: e["args"] for e in doc["traceEvents"] if "cat" in e}
-        assert args[1]["shard"] == "s0"  # overlay keeps the shard label
-
-    def test_shard_length_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            journal_to_trace(make_journal(), shards=["a"])
+        assert cats == {
+            0: "journal",
+            1: "critical",
+            2: "journal",
+            3: "journal",
+            4: "journal",
+        }
+        assert doc["otherData"]["critical_events"] == 1
 
     def test_write_trace_roundtrip(self, tmp_path):
         path = write_trace(tmp_path / "trace.json", journal_to_trace(make_journal()))
