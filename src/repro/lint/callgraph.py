@@ -21,7 +21,8 @@ Over-approximation errs toward *more* functions being treated as
 handler-reachable, i.e. toward more scrutiny, never toward silently
 missing a shared-state write.  Entry points are the callables handed
 to the registration APIs in
-:data:`repro.lint.project.HANDLER_REGISTRATION_APIS`.
+:data:`repro.lint.project.HANDLER_REGISTRATION_APIS` or stored into the
+handler tables in :data:`repro.lint.project.HANDLER_REGISTRATION_TABLES`.
 """
 
 from __future__ import annotations

@@ -105,16 +105,23 @@ MUTABLE_ANNOTATIONS: FrozenSet[str] = frozenset(
 
 # Callables whose callable arguments become simulation event handlers:
 # the Simulator/Timer surface of repro.sim.engine plus the component
-# registration hooks (delivery handlers, epoch listeners).
+# registration hooks (delivery handlers, epoch listeners, router
+# ingress hooks).
 HANDLER_REGISTRATION_APIS: FrozenSet[str] = frozenset(
     {
         "schedule",
         "schedule_at",
+        "post_at",
         "every",
         "on_deliver",
         "on_epoch",
+        "add_ingress_hook",
     }
 )
+
+# Handler tables: a callable stored by ``x.<table>[key] = fn`` becomes a
+# simulation event handler (control-plane message handlers on nodes).
+HANDLER_REGISTRATION_TABLES: FrozenSet[str] = frozenset({"control_handlers"})
 
 #: Name of the journal schema table (RPL3xx) — a module-level
 #: ``Dict[str, str]`` literal mapping journal kind -> meaning.
@@ -528,6 +535,11 @@ class _FactsVisitor(ast.NodeVisitor):
     def visit_Assign(self, node: ast.Assign) -> None:
         for target in node.targets:
             self._handle_target(target, node)
+            # `x.control_handlers[k] = fn` registers fn as a handler.
+            if isinstance(target, ast.Subscript):
+                table = dotted_name(target.value) or ""
+                if table.rpartition(".")[2] in HANDLER_REGISTRATION_TABLES:
+                    self._collect_callback_refs(node.value, self._fn)
         # Module-level mutable-container bindings + the schema table.
         if (
             self._fn is self._module_fn

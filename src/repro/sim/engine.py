@@ -1,13 +1,23 @@
 """Discrete-event simulation engine.
 
 A minimal, fast event scheduler in the style of ns-2's event loop.
-Pending events are ``(time, sequence, Event)`` entries in one binary
+Pending events are ``(time, sequence, fn, args)`` entries in one binary
 heap (``heapq``).  The sequence number breaks ties FIFO so that events
 scheduled for the same instant fire in the order they were scheduled,
 which keeps simulations deterministic: entries order totally on
 ``(time, seq)``, so the dispatch sequence depends on nothing but the
 schedule calls, a property the causal journal verifies end-to-end
 (``repro replay --check``).
+
+Two kinds of entry share the heap and the sequence counter:
+
+* :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` return a
+  cancellable :class:`Event` handle; its entry is
+  ``(time, seq, event, None)``.
+* :meth:`Simulator.post_at` pushes a plain ``(time, seq, fn, args)``
+  entry and returns nothing, so the event cannot be cancelled.  It
+  allocates no handle and skips the cancellation bookkeeping at
+  dispatch, which is why packet hops (:mod:`repro.sim.link`) use it.
 
 :meth:`Simulator.run` is the only dispatch loop.  Each optional
 observer — the engine profiler, its per-event dimensional attribution,
@@ -21,14 +31,6 @@ protocols, for which callbacks are both faster and simpler than a
 process abstraction.  Helper classes (:class:`Timer`,
 :func:`Simulator.every`) cover the recurring-timer patterns the defense
 protocols need.
-
-Allocation relief: dispatched :class:`Event` objects are recycled
-through a per-simulator freelist of at most ``_FREELIST_MAX`` entries.
-The contract is that an Event handle is only meaningful until its
-callback has run — cancelling after that is a no-op on the handle, but
-holders must drop fired-event references promptly (every in-tree holder
-reassigns or clears on fire) because the object may be reissued by a
-later ``schedule()``.
 """
 
 from __future__ import annotations
@@ -42,17 +44,9 @@ from typing import Any, Callable, List, Optional, Tuple
 
 __all__ = ["Event", "Simulator", "Timer", "SimulationError"]
 
-# Cap on recycled Event objects kept per simulator; bounds memory after
-# a scheduling burst while still absorbing the steady-state churn.
-_FREELIST_MAX = 8192
-
 
 class SimulationError(RuntimeError):
     """Raised for scheduling errors (e.g. scheduling in the past)."""
-
-
-def _retired() -> None:  # pragma: no cover - placeholder callback
-    """Callback parked on freelist events so a stale fire is harmless."""
 
 
 class Event:
@@ -60,33 +54,31 @@ class Event:
 
     Cancellation is lazy: a cancelled event stays in the heap but is
     skipped when popped.  This is O(1) and is the standard trick for
-    heap-based schedulers; the engine keeps a separate live counter so
-    :meth:`Simulator.pending` can still report the true pending count.
-
-    A handle is valid until its callback runs; after that ``cancel()``
-    is a no-op and the object may be recycled for a later ``schedule()``
-    call, so holders must not retain fired-event references.
+    heap-based schedulers; the engine counts the cancelled entries still
+    in its heap so :meth:`Simulator.pending` can still report the true
+    pending count.  ``cancel()`` after the callback has run is a no-op.
     """
 
-    __slots__ = ("time", "fn", "args", "cancelled", "_queued", "_sim")
+    __slots__ = ("time", "fn", "args", "cancelled", "_sim")
 
-    def __init__(self, time: float, fn: Callable[..., Any], args: tuple) -> None:
+    def __init__(
+        self, time: float, fn: Callable[..., Any], args: tuple, sim: "Simulator"
+    ) -> None:
         self.time = time
         self.fn = fn
         self.args = args
         self.cancelled = False
-        self._queued = False
-        self._sim: Optional["Simulator"] = None
+        # The owning simulator while the entry is in its heap, else None.
+        self._sim: Optional["Simulator"] = sim
 
     def cancel(self) -> None:
         """Prevent the event from firing (no-op if it already fired)."""
-        if self.cancelled or not self._queued:
-            self.cancelled = True
+        if self.cancelled:
             return
         self.cancelled = True
         sim = self._sim
         if sim is not None:
-            sim._live -= 1
+            sim._cancelled += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
@@ -116,10 +108,11 @@ class Simulator:
         self._running = False
         self._stopped = False
         self.events_processed: int = 0
-        # Pending (time, seq, Event) entries, a heapq heap.
-        self._heap: List[Tuple[float, int, Event]] = []
-        # Live (non-cancelled) pending events; see pending(live=True).
-        self._live: int = 0
+        # Pending (time, seq, fn, args) entries, a heapq heap; for a
+        # cancellable entry fn is its Event and args is None.
+        self._heap: List[Tuple[float, int, Any, Optional[tuple]]] = []
+        # Cancelled entries still in the heap; see pending(live=True).
+        self._cancelled: int = 0
         # Self-profiling (repro.obs.EngineProfiler.attach sets this):
         # run() then brackets itself with a wall clock and tracks the
         # live-pending high-water mark.
@@ -137,8 +130,6 @@ class Simulator:
         # identical with or without a stream.
         self.stream: Optional[Any] = None
         self.timer_jitter_clamps: int = 0
-        # Event freelist (allocation relief on the hot path).
-        self._free: List[Event] = []
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -157,21 +148,24 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time} before current time t={self.now}"
             )
-        free = self._free
-        if free:
-            ev = free.pop()
-            ev.time = time
-            ev.fn = fn
-            ev.args = args
-            ev.cancelled = False
-        else:
-            ev = Event(time, fn, args)
-        ev._queued = True
-        ev._sim = self
+        ev = Event(time, fn, args, self)
         self._seq += 1
-        heappush(self._heap, (time, self._seq, ev))
-        self._live += 1
+        heappush(self._heap, (time, self._seq, ev, None))
         return ev
+
+    def post_at(self, time: float, fn: Callable[..., Any], *args: Any) -> None:
+        """Schedule ``fn(*args)`` at absolute time ``time``, uncancellably.
+
+        The cheap way in for events nobody cancels or holds (packet
+        hops): no :class:`Event` handle is made.  Ordering is the same
+        ``(time, seq)`` order as :meth:`schedule_at`.
+        """
+        if not time >= self.now:
+            raise SimulationError(
+                f"cannot schedule at t={time} before current time t={self.now}"
+            )
+        self._seq += 1
+        heappush(self._heap, (time, self._seq, fn, args))
 
     def every(
         self,
@@ -216,7 +210,7 @@ class Simulator:
         journal = self.journal
         if journal is not None:
             before = self.events_processed
-            journal.record("sim_run_start", pending=self._live)
+            journal.record("sim_run_start", pending=self.pending(live=True))
         prof = self.profiler
         charge = None
         if prof is not None:
@@ -228,11 +222,9 @@ class Simulator:
         # multiple of the stream's power-of-two check stride.
         smask = stream.check_mask if stream is not None else 0
         sbase = self.events_processed
-        hwm = self._live
-        sim_start = self.now
         heap = self._heap
-        free = self._free
-        free_max = _FREELIST_MAX
+        hwm = len(heap) - self._cancelled
+        sim_start = self.now
         # Sentinel instead of a per-event None test; time > inf is never
         # true, so the untimed loop pays one float compare.
         limit = float("inf") if until is None else until
@@ -245,35 +237,38 @@ class Simulator:
             # jumps, and run() is entered once per scenario, so a loop
             # closed by a conditional jump would stay unspecialized.
             while True:
-                if prof is not None and self._live > hwm:
-                    hwm = self._live
+                # Live pending is len(heap) minus the cancelled entries,
+                # never more than len(heap): the count is read only once
+                # the heap itself has grown past the mark.
+                if (
+                    prof is not None
+                    and len(heap) > hwm
+                    and len(heap) - self._cancelled > hwm
+                ):
+                    hwm = len(heap) - self._cancelled
                 if not heap or heap[0][0] > limit:
                     break
-                time, _, ev = heappop(heap)
-                ev._queued = False
-                if not ev.cancelled:
-                    self._live -= 1
-                    self.now = time
-                    fn = ev.fn
-                    if charge is None:
-                        fn(*ev.args)
-                    else:
-                        # reprolint: ignore[RPL002] -- profiler
-                        t0 = perf_counter()
-                        fn(*ev.args)
-                        # reprolint: ignore[RPL002] -- profiler
-                        charge(fn, perf_counter() - t0)
-                    processed += 1
-                    if stream is not None and (processed & smask) == 0:
-                        stream.pulse(self, sbase + processed)
-                # Retire only after the callback returns: a callback may
-                # legitimately cancel the very event that is firing (a
-                # timer cancelling itself), which must see _queued=False
-                # on this object, not on a recycled successor.
-                if len(free) < free_max:
-                    ev.fn = _retired
-                    ev.args = ()
-                    free.append(ev)
+                time, _, fn, args = heappop(heap)
+                if args is None:
+                    # A cancellable entry: fn is its Event.
+                    fn._sim = None
+                    if fn.cancelled:
+                        self._cancelled -= 1
+                        continue
+                    args = fn.args
+                    fn = fn.fn
+                self.now = time
+                if charge is None:
+                    fn(*args)
+                else:
+                    # reprolint: ignore[RPL002] -- profiler
+                    t0 = perf_counter()
+                    fn(*args)
+                    # reprolint: ignore[RPL002] -- profiler
+                    charge(fn, perf_counter() - t0)
+                processed += 1
+                if stream is not None and (processed & smask) == 0:
+                    stream.pulse(self, sbase + processed)
                 if self._stopped:
                     break
             if until is not None and not self._stopped and self.now < until:
@@ -303,13 +298,13 @@ class Simulator:
         ``live=True`` counts only events that will actually fire.
         """
         if live:
-            return self._live
+            return len(self._heap) - self._cancelled
         return len(self._heap)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"Simulator(now={self.now:.6f}, pending={len(self._heap)}, "
-            f"live={self._live})"
+            f"Simulator(now={self.now:.6f}, pending={self.pending()}, "
+            f"live={self.pending(live=True)})"
         )
 
 
@@ -356,8 +351,7 @@ class Timer:
         self._event = sim.schedule_at(at, self._fire)
 
     def _fire(self) -> None:
-        # Drop the fired-event handle immediately: the engine may
-        # recycle the object, so a later cancel() must not reach it.
+        # The armed handle has fired; cancel() has nothing left to stop.
         self._event = None
         if self.cancelled:
             return

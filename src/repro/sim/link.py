@@ -7,7 +7,9 @@ transmission in a drop-tail queue, and delivers each packet to the far
 node one propagation delay after its last bit is sent.
 
 This module is the simulator's hot path; it avoids allocation beyond
-the unavoidable scheduler entries.  An idle channel takes the *fused*
+the unavoidable scheduler entries, and those are plain uncancellable
+entries (:meth:`~repro.sim.engine.Simulator.post_at`): nothing ever
+cancels a packet hop.  An idle channel takes the *fused*
 path: one event at ``now + tx_time + delay`` performs the send
 accounting and the delivery together, replacing the classic
 ``_tx_done -> _deliver`` two-event chain.  The chain is only needed
@@ -107,7 +109,9 @@ class Channel:
             # nothing needs to happen at the serialization boundary.
             tx_time = pkt.size * 8.0 / self.bandwidth_bps
             self._busy_until = now + tx_time
-            sim.schedule(tx_time + self.delay, self._fused_done, pkt)
+            # Float sums are not associative: the delivery time is
+            # now + (tx_time + delay), and the journal depends on it.
+            sim.post_at(now + (tx_time + self.delay), self._fused_done, pkt)
             return True
         if not self.queue.push(pkt):
             self.packets_dropped += 1
@@ -119,7 +123,7 @@ class Channel:
             # queue to start draining the instant the serializer frees
             # up (the in-flight fused event will not pull the queue).
             self._draining = True
-            sim.schedule_at(self._busy_until, self._drain)
+            sim.post_at(self._busy_until, self._drain)
         return True
 
     def _fused_done(self, pkt: Packet) -> None:
@@ -141,13 +145,14 @@ class Channel:
     def _transmit(self, pkt: Packet) -> None:
         self._draining = True
         tx_time = pkt.size * 8.0 / self.bandwidth_bps
-        self._busy_until = self.sim.now + tx_time
-        self.sim.schedule(tx_time, self._tx_done, pkt)
+        self._busy_until = done = self.sim.now + tx_time
+        self.sim.post_at(done, self._tx_done, pkt)
 
     def _tx_done(self, pkt: Packet) -> None:
         self.packets_sent += 1
         self.bytes_sent += pkt.size
-        self.sim.schedule(self.delay, self._deliver, pkt)
+        sim = self.sim
+        sim.post_at(sim.now + self.delay, self._deliver, pkt)
         nxt = self.queue.pop()
         if nxt is not None:
             self._transmit(nxt)

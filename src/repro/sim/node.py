@@ -211,7 +211,11 @@ class Router(Node):
         pkt.ttl -= 1
         if pkt.ttl <= 0:
             return
-        out = self.route_to(pkt.dst)
+        # route_to() inlined for the routed case; it is only needed for
+        # the single-homed default route.
+        out = self.routes.get(pkt.dst)
+        if out is None:
+            out = self.route_to(pkt.dst)
         if out is None:
             self.no_route_drops += 1
             return

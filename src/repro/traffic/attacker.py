@@ -154,7 +154,7 @@ class FollowerAttackHost:
         self._start_event = self.sim.schedule_at(max(when, self.sim.now), self._begin)
 
     def _begin(self) -> None:
-        # Drop the fired handle first: the engine may recycle it.
+        # The start event has fired; stop() has nothing to cancel.
         self._start_event = None
         if not self._running:
             return

@@ -228,7 +228,7 @@ class _AdaptiveBot:
         self._start_event = self.sim.schedule_at(max(when, self.sim.now), self._enter)
 
     def _enter(self) -> None:
-        # Drop the fired handle first: the engine may recycle it.
+        # The start event has fired; stop() has nothing to cancel.
         self._start_event = None
         if not self._running:
             return

@@ -19,6 +19,7 @@ Enable it for single-source or per-source-RNG workloads.
 
 from __future__ import annotations
 
+import math
 import os
 from typing import Callable, List, Optional
 
@@ -74,9 +75,11 @@ class CBRSource:
         rng=None,
         batch: Optional[int] = None,
     ) -> None:
-        # Negated so that a NaN rate (NaN inter-packet gaps) is rejected.
-        if not rate_bps > 0:
-            raise ValueError(f"rate must be positive (got {rate_bps})")
+        # Negated so that a NaN rate (NaN inter-packet gaps) is rejected;
+        # an infinite rate would make every gap 0.0 and _tick would
+        # reschedule itself at `now` forever.
+        if not 0 < rate_bps < math.inf:
+            raise ValueError(f"rate must be positive and finite (got {rate_bps})")
         if packet_size <= 0:
             raise ValueError(f"packet size must be positive (got {packet_size})")
         if not 0.0 <= jitter < 1.0:
@@ -102,12 +105,9 @@ class CBRSource:
         self.packets_sent = 0
         self._running = False
         self._next_event = None
-        # Batched path: events for precomputed departures, with a
-        # cursor separating fired events (which the engine may have
-        # recycled — never touch those handles again) from pending ones
-        # that stop() must cancel.
-        self._batch_events: List[Optional[Event]] = []
-        self._batch_pos = 0
+        # Batched path: events for the precomputed departures; stop()
+        # cancels them all (cancelling a fired one is a no-op).
+        self._batch_events: List[Event] = []
 
     # ------------------------------------------------------------------
     def start(self, at: Optional[float] = None) -> None:
@@ -124,15 +124,9 @@ class CBRSource:
         if self._next_event is not None:
             self._next_event.cancel()
             self._next_event = None
-        # Cancel only the not-yet-fired tail of the batch; fired
-        # handles may already be recycled by the engine.
-        events = self._batch_events
-        for i in range(self._batch_pos, len(events)):
-            ev = events[i]
-            if ev is not None:
-                ev.cancel()
-        events.clear()
-        self._batch_pos = 0
+        for ev in self._batch_events:
+            ev.cancel()
+        self._batch_events.clear()
 
     @property
     def running(self) -> bool:
@@ -184,19 +178,14 @@ class CBRSource:
         self._send_packet()
         sim = self.sim
         t = sim.now
-        events: List[Optional[Event]] = []
+        events: List[Event] = []
         for _ in range(self.batch - 1):
             t = t + self._next_gap()
             events.append(sim.schedule_at(t, self._send_one))
         events.append(sim.schedule_at(t + self._next_gap(), self._refill))
         self._batch_events = events
-        self._batch_pos = 0
 
     def _send_one(self) -> None:
-        # Batch events fire in chronological order; advance the cursor
-        # past this (about-to-be-recycled) handle first.
-        self._batch_events[self._batch_pos] = None
-        self._batch_pos += 1
         if not self._running:
             return
         self._send_packet()

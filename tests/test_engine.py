@@ -50,6 +50,8 @@ class TestScheduling:
         sim.run()
         with pytest.raises(SimulationError):
             sim.schedule_at(1.0, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.post_at(1.0, lambda: None)
 
     def test_nan_time_rejected(self):
         # NaN compares False against the clock both ways; it must not
@@ -60,6 +62,8 @@ class TestScheduling:
             sim.schedule(float("nan"), lambda: None)
         with pytest.raises(SimulationError):
             sim.schedule_at(float("nan"), lambda: None)
+        with pytest.raises(SimulationError):
+            sim.post_at(float("nan"), lambda: None)
         assert sim.pending() == 1
         sim.run()
         assert sim.now == 1.0
@@ -187,18 +191,31 @@ class _Handle:
 class _SortedListReference:
     """Reference dispatcher: ``(time, seq)`` entries in a plain sorted
     list.  Ties fire FIFO (seq), cancelled entries are dropped without
-    moving the clock, and ``run(until)`` leaves the clock at ``until``."""
+    moving the clock, and ``run(until)`` leaves the clock at ``until``.
+    A ``post_at`` entry has no handle and is never cancelled."""
 
     def __init__(self):
         self.now = 0.0
+        self.events_processed = 0
         self._seq = 0
         self._entries = []
 
     def schedule(self, delay, fn, *args):
-        self._seq += 1
         handle = _Handle()
-        insort(self._entries, (self.now + delay, self._seq, handle, fn, args))
+        self._push(self.now + delay, handle, fn, args)
         return handle
+
+    def post_at(self, time, fn, *args):
+        self._push(time, _Handle(), fn, args)
+
+    def _push(self, time, handle, fn, args):
+        self._seq += 1
+        insort(self._entries, (time, self._seq, handle, fn, args))
+
+    def pending(self, live=False):
+        if live:
+            return sum(not entry[2].cancelled for entry in self._entries)
+        return len(self._entries)
 
     def run(self, until=None):
         entries = self._entries
@@ -207,32 +224,56 @@ class _SortedListReference:
             if not handle.cancelled:
                 self.now = time
                 fn(*args)
+                self.events_processed += 1
         if until is not None and self.now < until:
             self.now = until
 
 
-def _drive(sim, delays, cancel_idx, segments):
+def _drive(sim, script, cancel_idx, segments):
     """Run one schedule/cancel/run-until script; return the dispatch log
-    with the clock after every run() call."""
+    with the clock, event count and pending counts after every run().
+
+    ``script`` holds ``(delay, plain)`` pairs: a plain event is pushed
+    with ``post_at`` and has no handle, so a cancel aimed at it is
+    dropped."""
     log = []
-    events = [
-        sim.schedule(d, lambda i=i: log.append((sim.now, i)))
-        for i, d in enumerate(delays)
-    ]
+
+    def snapshot(tag):
+        log.append(
+            (tag, sim.now, sim.events_processed, sim.pending(),
+             sim.pending(live=True))
+        )
+
+    def fire(i):
+        log.append((sim.now, i))
+
+    handles = []
+    for i, (d, plain) in enumerate(script):
+        if plain:
+            sim.post_at(sim.now + d, fire, i)
+            handles.append(None)
+        else:
+            handles.append(sim.schedule(d, fire, i))
     for i in cancel_idx:
-        events[i % len(events)].cancel()
+        handle = handles[i % len(handles)]
+        if handle is not None:
+            handle.cancel()
+    snapshot("start")
     for until in sorted(segments):
         sim.run(until=until)
-        log.append(("until", sim.now))
+        snapshot("until")
     sim.run()
-    log.append(("end", sim.now))
+    snapshot("end")
     return log
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    delays=st.lists(
-        st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
+    script=st.lists(
+        st.tuples(
+            st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
+            st.booleans(),
+        ),
         min_size=1,
         max_size=60,
     ),
@@ -241,9 +282,9 @@ def _drive(sim, delays, cancel_idx, segments):
         st.floats(min_value=0.0, max_value=100.0, allow_nan=False), max_size=4
     ),
 )
-def test_dispatch_order_matches_sorted_reference(delays, cancel_idx, segments):
-    expected = _drive(_SortedListReference(), delays, cancel_idx, segments)
-    assert _drive(Simulator(), delays, cancel_idx, segments) == expected
+def test_dispatch_order_matches_sorted_reference(script, cancel_idx, segments):
+    expected = _drive(_SortedListReference(), script, cancel_idx, segments)
+    assert _drive(Simulator(), script, cancel_idx, segments) == expected
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,10 +1,10 @@
-"""Fast-path safety: event freelist, live pending, timer-jitter clamp
-accounting, and batched CBR generation.
+"""Fast-path safety: fired-event handles, live pending, timer-jitter
+clamp accounting, and batched CBR generation.
 
 The perf machinery must be invisible to simulation semantics:
 
-* a recycled :class:`~repro.sim.engine.Event` is reissued only after
-  its callback has run;
+* cancelling an :class:`~repro.sim.engine.Event` after its callback has
+  run is a no-op;
 * ``Simulator.pending(live=True)`` tracks lazy cancellation exactly;
 * jitter clamps in :class:`~repro.sim.engine.Timer` are counted on the
   simulator and the bound metrics registry;
@@ -75,17 +75,22 @@ class TestTimerJitterClamp:
         assert sim.timer_jitter_clamps == 0
 
 
-class TestEventFreelist:
-    def test_fired_events_are_recycled(self):
+class TestFiredHandles:
+    def test_late_cancel_of_fired_event_is_a_noop(self):
         sim = Simulator()
         fired = []
         first = sim.schedule(1.0, fired.append, "a")
+        sim.run(until=1.5)
+        sim.schedule(1.0, fired.append, "b")
+        sim.post_at(3.0, fired.append, "c")
+        first.cancel()  # already fired: nothing left to cancel
+        first.cancel()
+        assert sim.pending() == 2
+        assert sim.pending(live=True) == 2
         sim.run()
-        ev = sim.schedule(1.0, fired.append, "b")
-        assert ev is first  # reissued from the freelist
-        assert not ev.cancelled
-        sim.run()
-        assert fired == ["a", "b"]
+        assert fired == ["a", "b", "c"]
+        assert sim.pending(live=True) == 0
+        assert sim.events_processed == 3
 
     def test_timer_self_cancel_during_fire_is_safe(self):
         sim = Simulator()

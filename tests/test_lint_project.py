@@ -100,6 +100,28 @@ class TestCallGraph:
         assert "App._note" in quals  # transitive callee
         assert "App.start" not in quals  # registrar itself is not a handler
 
+    def test_packet_path_is_handler_reachable(self):
+        # Packet hops (post_at), router ingress hooks (add_ingress_hook)
+        # and control handlers (control_handlers[k] = fn) are entry
+        # points; RPL1xx is blind to whatever they reach otherwise.
+        project = Project.load(str(REPO_ROOT / "src" / "repro"))
+        reachable = CallGraph(project).handler_reachable()
+        expected = {
+            ("sim/link.py", "Channel._fused_done"),
+            ("sim/link.py", "Channel._tx_done"),
+            ("sim/link.py", "Channel._deliver"),
+            ("sim/link.py", "Channel._drain"),
+            ("sim/node.py", "Router.receive"),
+            ("sim/node.py", "Host.receive"),
+            ("backprop/filters.py", "PortBlockFilter.hook"),
+            ("backprop/intraas.py", "BackpropRouterAgent._debug_hook"),
+            ("pushback/protocol.py", "PushbackAgent._hook"),
+            ("pushback/ratelimit.py", "AggregateRateLimiter.hook"),
+            ("backprop/diversion.py", "EdgeRouterAgent._hook"),
+            ("backprop/intraas.py", "BackpropRouterAgent._on_request"),
+        }
+        assert expected - reachable == set()
+
     def test_import_resolution_follows_aliases(self):
         project = Project.load(str(FIXTURES / "rpl203_bad"))
         resolved = project.resolve("scenario.py", "Registry")

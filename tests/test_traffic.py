@@ -99,6 +99,12 @@ class TestCBRSource:
         sim, src, dst = make_host_pair()
         with pytest.raises(ValueError):
             CBRSource(sim, src, 1, rate_bps=0)
+        # An infinite rate makes every gap 0.0: _tick would reschedule
+        # itself at `now` forever.  NaN gaps would fire out of order.
+        with pytest.raises(ValueError):
+            CBRSource(sim, src, 1, rate_bps=float("inf"))
+        with pytest.raises(ValueError):
+            CBRSource(sim, src, 1, rate_bps=float("nan"))
         with pytest.raises(ValueError):
             CBRSource(sim, src, 1, rate_bps=1e3, packet_size=0)
         with pytest.raises(ValueError):
