@@ -17,7 +17,6 @@ from dataclasses import replace
 
 from repro.experiments.runner import result_to_dict, run_many
 from repro.experiments.scenarios import TreeScenarioParams
-from repro.parallel import PoolConfig
 
 BASE = TreeScenarioParams(
     n_leaves=30,
@@ -55,9 +54,7 @@ def test_parallel_pool_speedup(benchmark, report):
         serial = run_many(BATCH, jobs=1)
         t_serial = time.perf_counter() - t0
         t0 = time.perf_counter()
-        pooled = run_many(
-            BATCH, pool_config=PoolConfig(jobs=JOBS, inline=False)
-        )
+        pooled = run_many(BATCH, jobs=JOBS)
         t_pooled = time.perf_counter() - t0
         return serial, t_serial, pooled, t_pooled
 

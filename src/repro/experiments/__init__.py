@@ -4,9 +4,7 @@ from .runner import (
     confidence_interval,
     render_series,
     render_table,
-    replicate_scenario,
     summarize,
-    sweep_scenario,
 )
 from .scenarios import (
     PARAMETER_TABLE,
@@ -32,10 +30,8 @@ __all__ = [
     "paper_scale",
     "render_series",
     "render_table",
-    "replicate_scenario",
     "run_tree_scenario",
     "run_trial",
     "run_validation",
     "summarize",
-    "sweep_scenario",
 ]

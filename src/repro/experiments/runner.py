@@ -1,19 +1,23 @@
-"""Experiment running utilities: replication, sweeps, text tables.
+"""Experiment running utilities: scenario batches, sweeps, text tables.
 
 Benchmarks and examples print the same rows/series the paper reports;
 these helpers keep that rendering consistent.
 
-Replication and sweeps run through :mod:`repro.parallel` when asked
-(``jobs`` argument, ``--jobs`` on the CLI, or ``$REPRO_JOBS``): tasks
-carry their own seed, so serial and N-worker runs produce identical
-results; a :class:`~repro.parallel.SweepCheckpoint` resumes a killed
-sweep with exactly the missing tasks.
+Every batch of scenario runs — a figure's grid (:func:`run_many`) or a
+parameter sweep (:func:`run_sweep`) — goes through
+:func:`repro.parallel.run_tasks`, in-process when ``jobs`` is 1 and on
+worker processes otherwise (``jobs`` argument, ``--jobs`` on the CLI,
+or ``$REPRO_JOBS``).  Each task carries its own seed and builds its
+own telemetry, and artifacts are absorbed in task order, so every job
+count produces identical results; a
+:class:`~repro.parallel.SweepCheckpoint` resumes a killed sweep with
+exactly the missing tasks.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -23,7 +27,6 @@ from ..parallel import (
     SweepCheckpoint,
     Task,
     absorb_artifact,
-    replicate_seeds,
     resolve_jobs,
     run_tasks,
 )
@@ -35,14 +38,12 @@ __all__ = [
     "plan_sweep_tasks",
     "render_series",
     "render_table",
-    "replicate_scenario",
     "result_from_dict",
     "result_to_dict",
     "run_many",
     "run_scenario_task",
     "run_sweep",
     "summarize",
-    "sweep_scenario",
 ]
 
 
@@ -133,17 +134,17 @@ def run_scenario_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     for the parent to merge (a live telemetry cannot cross the process
     boundary — its journal clock closes over the worker's simulator).
     The run is bracketed with ``pool_task_start`` / ``pool_task_finish``
-    journal events, mirrored exactly by :func:`run_many`'s serial path
-    so serial and pool journals stay byte-identical.
+    journal events; the same function runs in-process at ``jobs=1`` and
+    in workers otherwise, so every job count yields the same journal.
     """
     from ..obs import Telemetry  # local import keeps workers lean
 
     params: TreeScenarioParams = payload["params"]
     telemetry = Telemetry() if payload.get("telemetry") else None
     if telemetry is not None:
-        # at=0.0: the scenario's simulator clock starts there; a serial
-        # run's shared clock would otherwise read the *previous*
-        # scenario's final time here.
+        # at=0.0: the scenario's simulator clock starts there; a
+        # telemetry reused across runs would otherwise stamp the
+        # previous run's final time.
         telemetry.journal.record(
             "pool_task_start", at=0.0, task=payload.get("task")
         )
@@ -165,12 +166,13 @@ def run_scenario_task(payload: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def _scenario_tasks(
-    named_params: Sequence[tuple],
-    instrument: Callable[[Any], bool],
+    named_params: Sequence[Tuple[Any, TreeScenarioParams]],
     task_fn: Callable[[Dict[str, Any]], Dict[str, Any]],
-    stream: Optional[Dict[str, Any]] = None,
-    profile: bool = False,
+    instrument: Callable[[Any], bool],
+    stream: Optional[Dict[str, Any]],
+    profile: bool,
 ) -> List[Task]:
+    """One pool task per ``(key, params)`` pair, under id ``str(key)``."""
     return [
         Task(
             task_id=str(key),
@@ -213,13 +215,30 @@ def _discard_stale(
         checkpoint.discard(stale)
 
 
-def _raise_on_quarantine(report: PoolReport, what: str) -> None:
-    if not report.ok:
-        details = "; ".join(
-            f"{t}: {report.outcomes[t].error}".splitlines()[0]
-            for t in report.quarantined
-        )
-        raise RuntimeError(f"{what}: {len(report.quarantined)} task(s) quarantined ({details})")
+def _run_batch(
+    tasks: List[Task],
+    jobs: Optional[int],
+    pool_config: Optional[PoolConfig],
+    telemetry: Any,
+    stream: Optional[Dict[str, Any]],
+    checkpoint: Optional[SweepCheckpoint] = None,
+    on_outcome: Optional[Callable[[Any], None]] = None,
+) -> PoolReport:
+    """Run scenario ``tasks`` through :func:`run_tasks`, then absorb
+    their telemetry artifacts into ``telemetry`` in *task* order (never
+    completion order).  With a ``stream`` the pool's live
+    ``pool.status.json`` goes to ``stream["dir"]``."""
+    config = pool_config or PoolConfig(jobs=resolve_jobs(jobs))
+    if stream and config.status_dir is None:
+        config = replace(config, status_dir=stream["dir"])
+    _discard_stale(checkpoint, tasks)
+    report = run_tasks(tasks, config, checkpoint=checkpoint, on_outcome=on_outcome)
+    if telemetry is not None:
+        for task in tasks:
+            outcome = report.outcomes[task.task_id]
+            if outcome.ok and outcome.value.get("telemetry"):
+                absorb_artifact(telemetry, outcome.value["telemetry"])
+    return report
 
 
 def run_many(
@@ -231,101 +250,42 @@ def run_many(
     stream: Optional[Dict[str, Any]] = None,
     profile: bool = False,
 ) -> Dict[Any, TreeScenarioResult]:
-    """Run several named scenarios, serially or on the pool.
+    """Run several named scenarios as one batch of pool tasks.
 
     ``instrument(key)`` selects which runs feed ``telemetry`` (default:
-    all, when a telemetry is given).  Worker telemetry artifacts are
-    absorbed in ``named_params`` order, so the consolidated artifact is
-    identical to a serial instrumented run.  ``stream`` (a
-    ``{"dir", "interval", "wall_cap"}`` dict) arms one live telemetry
-    stream per run under ``dir`` — on the pool the supervisor also
-    maintains the merged ``pool.status.json`` view there.
-    ``profile=True`` enables per-dimension engine attribution on every
-    instrumented run; worker dimension tables merge into ``telemetry``
-    alongside the scalar engine counters, so a pooled sweep aggregates
-    per-task profiles exactly like a serial one.  Raises if any run is
-    quarantined — figures need every cell.
+    all, when a telemetry is given); each instrumented run builds its
+    own telemetry and the artifacts are absorbed in ``named_params``
+    order, so the consolidated artifact is the same at every job count.
+    ``stream`` (a ``{"dir", "interval", "wall_cap"}`` dict) arms one
+    live telemetry stream per run under ``dir``, where the pool also
+    maintains the merged ``pool.status.json`` view.  ``profile=True``
+    enables per-dimension engine attribution on every instrumented run;
+    the dimension tables merge into ``telemetry`` alongside the scalar
+    engine counters.  A raising run is retried up to
+    ``PoolConfig.max_attempts``; raises if any run is quarantined —
+    figures need every cell.
     """
-    if instrument is None:
-        instrument = lambda key: telemetry is not None
-    jobs = pool_config.jobs if pool_config is not None else resolve_jobs(jobs)
-    if jobs <= 1 and pool_config is None:
-        out_serial: Dict[Any, TreeScenarioResult] = {}
-        for key, params in named_params.items():
-            run_telemetry = telemetry if instrument(key) else None
-            if run_telemetry is not None:
-                run_telemetry.journal.record(
-                    "pool_task_start", at=0.0, task=str(key)
-                )
-            out_serial[key] = run_tree_scenario(
-                params,
-                telemetry=run_telemetry,
-                stream=_stream_config_for(stream, str(key)),
-                profile=profile and run_telemetry is not None,
-            )
-            if run_telemetry is not None:
-                run_telemetry.journal.record("pool_task_finish", task=str(key))
-        return out_serial
+    if telemetry is None:
+        instrument = lambda key: False
+    elif instrument is None:
+        instrument = lambda key: True
     tasks = _scenario_tasks(
-        [(k, p) for k, p in named_params.items()],
-        instrument if telemetry is not None else (lambda key: False),
-        run_scenario_task,
-        stream=stream,
-        profile=profile,
+        list(named_params.items()), run_scenario_task, instrument, stream, profile
     )
-    config = pool_config or PoolConfig(jobs=jobs)
-    if stream and config.status_dir is None:
-        config.status_dir = stream["dir"]
-    report = run_tasks(tasks, config)
-    _raise_on_quarantine(report, "scenario batch")
-    out: Dict[Any, TreeScenarioResult] = {}
-    for key, task in zip(named_params, tasks):
-        envelope = report.value(task.task_id)
-        out[key] = result_from_dict(envelope["result"])
-        if telemetry is not None and envelope.get("telemetry"):
-            absorb_artifact(telemetry, envelope["telemetry"])
-    return out
-
-
-def replicate_scenario(
-    params: TreeScenarioParams,
-    seeds: Optional[Sequence[int]] = None,
-    n: Optional[int] = None,
-    jobs: Optional[int] = None,
-    pool_config: Optional[PoolConfig] = None,
-    checkpoint: Optional[SweepCheckpoint] = None,
-) -> List[TreeScenarioResult]:
-    """Run the same scenario under several seeds.
-
-    With ``seeds=None``, ``n`` replication seeds are derived
-    deterministically from ``params.seed`` (SHA-256 keyed on the
-    replicate index) — and every result records the seed that produced
-    it (``result.params.seed``, surfaced by :func:`result_to_dict`).
-    """
-    if seeds is None:
-        if n is None:
-            raise ValueError("need seeds or n")
-        seeds = replicate_seeds(params.seed, n)
-    seeds = [int(s) for s in seeds]
-    jobs = pool_config.jobs if pool_config is not None else resolve_jobs(jobs)
-    if jobs <= 1 and pool_config is None and checkpoint is None:
-        return [run_tree_scenario(replace(params, seed=s)) for s in seeds]
-    tasks = [
-        Task(
-            task_id=f"seed={s}",
-            fn=run_scenario_task,
-            payload={"params": replace(params, seed=s), "telemetry": False},
+    report = _run_batch(tasks, jobs, pool_config, telemetry, stream)
+    if not report.ok:
+        details = "; ".join(
+            f"{t}: {report.outcomes[t].error}".splitlines()[0]
+            for t in report.quarantined
         )
-        for s in seeds
-    ]
-    _discard_stale(checkpoint, tasks)
-    report = run_tasks(
-        tasks, pool_config or PoolConfig(jobs=jobs), checkpoint=checkpoint
-    )
-    _raise_on_quarantine(report, "replication")
-    return [
-        result_from_dict(report.value(t.task_id)["result"]) for t in tasks
-    ]
+        raise RuntimeError(
+            f"scenario batch: {len(report.quarantined)} task(s) "
+            f"quarantined ({details})"
+        )
+    return {
+        key: result_from_dict(report.value(task.task_id)["result"])
+        for key, task in zip(named_params, tasks)
+    }
 
 
 def plan_sweep_tasks(
@@ -343,28 +303,20 @@ def plan_sweep_tasks(
     Ids are pure functions of the sweep coordinates — never of order or
     worker — so checkpoints match across runs and duplicate (value,
     seed) pairs are rejected by the pool.  ``telemetry=True`` makes
-    every worker build and ship back a telemetry artifact; ``stream``
+    every task build and ship back a telemetry artifact; ``stream``
     arms one live per-task telemetry stream under its ``dir``;
     ``profile=True`` adds per-dimension engine attribution to each
     instrumented task's artifact.
     """
     if not hasattr(base, field_name):
         raise ValueError(f"unknown sweep field {field_name!r}")
-    return [
-        Task(
-            task_id=f"{field_name}={v!r}/seed={int(s)}",
-            fn=task_fn,
-            payload={
-                "params": replace(base, **{field_name: v}, seed=int(s)),
-                "telemetry": telemetry,
-                "task": f"{field_name}={v!r}/seed={int(s)}",
-                "stream": stream,
-                "profile": profile,
-            },
-        )
+    named = [
+        (f"{field_name}={v!r}/seed={int(s)}",
+         replace(base, **{field_name: v}, seed=int(s)))
         for v in values
         for s in seeds
     ]
+    return _scenario_tasks(named, task_fn, lambda key: telemetry, stream, profile)
 
 
 @dataclass
@@ -422,17 +374,17 @@ def run_sweep(
     stream: Optional[Dict[str, Any]] = None,
     profile: bool = False,
 ) -> SweepRun:
-    """Sweep one parameter over the pool; quarantine-tolerant.
+    """Sweep one parameter over ``seeds``; quarantine-tolerant.
 
-    Unlike :func:`sweep_scenario` this never raises on a poisoned
-    point: the :class:`SweepRun` reports quarantined tasks and its
-    ``report.exit_code`` reflects partial failure.  With a
-    ``telemetry``, every task is instrumented and worker artifacts are
-    absorbed in *task* order (never completion order), so the merged
-    metrics/journal match a serial instrumented sweep.  With a
-    ``stream`` dict every task writes a live ``<task>.stream.jsonl``
-    under ``stream["dir"]`` and the supervisor maintains the merged
-    ``pool.status.json`` there (watch with ``repro watch DIR``).
+    Unlike :func:`run_many` this never raises on a poisoned point: the
+    :class:`SweepRun` reports quarantined tasks and its
+    ``report.exit_code`` reflects partial failure.  A ``checkpoint``
+    resumes the tasks it holds, unless they were recorded under other
+    params.  With a ``telemetry``, every task is instrumented and the
+    artifacts are absorbed in task order.  With a ``stream`` dict every
+    task writes a live ``<task>.stream.jsonl`` under ``stream["dir"]``
+    next to the pool's ``pool.status.json`` (watch with
+    ``repro watch DIR``).
     """
     values = list(values)
     seeds = [int(s) for s in seeds]
@@ -446,16 +398,9 @@ def run_sweep(
         stream=stream,
         profile=profile,
     )
-    config = pool_config or PoolConfig(jobs=resolve_jobs(jobs))
-    if stream and config.status_dir is None:
-        config.status_dir = stream["dir"]
-    _discard_stale(checkpoint, tasks)
-    report = run_tasks(tasks, config, checkpoint=checkpoint, on_outcome=on_outcome)
-    if telemetry is not None:
-        for task in tasks:
-            outcome = report.outcomes.get(task.task_id)
-            if outcome is not None and outcome.ok and outcome.value.get("telemetry"):
-                absorb_artifact(telemetry, outcome.value["telemetry"])
+    report = _run_batch(
+        tasks, jobs, pool_config, telemetry, stream, checkpoint, on_outcome
+    )
     return SweepRun(
         base=base,
         field_name=field_name,
@@ -464,40 +409,6 @@ def run_sweep(
         tasks=tasks,
         report=report,
     )
-
-
-def sweep_scenario(
-    base: TreeScenarioParams,
-    field_name: str,
-    values: Iterable[Any],
-    seeds: Sequence[int] = (0,),
-    jobs: Optional[int] = None,
-    pool_config: Optional[PoolConfig] = None,
-    checkpoint: Optional[SweepCheckpoint] = None,
-) -> Dict[Any, List[TreeScenarioResult]]:
-    """Sweep one parameter, replicating each point over ``seeds``.
-
-    Raises if any task ends quarantined; use :func:`run_sweep` for
-    partial-failure tolerance and the machine-readable sweep artifact.
-    """
-    values = list(values)
-    jobs = pool_config.jobs if pool_config is not None else resolve_jobs(jobs)
-    if jobs <= 1 and pool_config is None and checkpoint is None:
-        out: Dict[Any, List[TreeScenarioResult]] = {}
-        for v in values:
-            params = replace(base, **{field_name: v})
-            out[v] = replicate_scenario(params, seeds)
-        return out
-    run = run_sweep(
-        base,
-        field_name,
-        values,
-        seeds,
-        pool_config=pool_config or PoolConfig(jobs=jobs),
-        checkpoint=checkpoint,
-    )
-    _raise_on_quarantine(run.report, f"sweep over {field_name}")
-    return run.results
 
 
 def summarize(values: Sequence[float]) -> Dict[str, float]:

@@ -489,15 +489,16 @@ def run_tree_scenario(
         telemetry.snapshot_network(net)
         telemetry.record_stats(defense.stats(), prefix=f"{defense.name}_")
         telemetry.extra.setdefault("throughput", monitor.to_dict())
-        entry = {
+        # Every key is always written (0 without amplifiers): a merged
+        # multi-run artifact keeps the first run's entry whole instead
+        # of filling its gaps from a later run.
+        telemetry.extra.setdefault("scenario", {})[params.defense] = {
             "legit_pct_during_attack": during,
             "captures": len(capture_times),
             "false_captures": false_caps,
+            "reflector_captures": reflector_captures,
+            "traced_sources": sum(len(v) for v in traced_sources.values()),
         }
-        if amplifier_ids:
-            entry["reflector_captures"] = reflector_captures
-            entry["traced_sources"] = sum(len(v) for v in traced_sources.values())
-        telemetry.extra.setdefault("scenario", {})[params.defense] = entry
 
     if streamer is not None:
         # Final snapshot *after* the post-run registry fold, so the last

@@ -11,11 +11,6 @@ only visible across module boundaries:
 * **RPL202** — a stream name built at runtime (f-string, variable).
   Dynamic names defeat the static registry: nothing can audit which
   streams exist, and collisions of the RPL201 kind become untestable.
-  One idiom is exempt: a *stream family* — an f-string whose static
-  literal head is a dotted namespace (``f"client.{leaf}"``), for code
-  that needs one stream per host; the family prefix keeps the
-  registry auditable (RPL201 checks prefixes for collisions exactly
-  like literal names).
 * **RPL203** — ``RngRegistry()`` with no arguments.  The default seed
   silently couples the run to whatever the default happens to be,
   instead of the scenario's explicit master seed.
@@ -31,20 +26,6 @@ from ..project import ModuleFacts, Project, ProjectRule, StreamUse
 __all__ = ["DuplicateStreamName", "NonLiteralStreamName", "UnseededRegistry"]
 
 
-def _family_prefix(use: StreamUse) -> str | None:
-    """The auditable family prefix of a dynamic stream name, if any.
-
-    A *stream family* is an f-string whose static literal head is a
-    dotted namespace — ``f"client.{leaf}"`` claims the ``client.``
-    family.  The prefix must end with the dot so a bare variable head
-    (``f"{name}-x"``) stays flagged.
-    """
-    prefix = use.prefix
-    if prefix and prefix.endswith(".") and len(prefix) > 1:
-        return prefix
-    return None
-
-
 class DuplicateStreamName(ProjectRule):
     code = "RPL201"
     name = "no RNG stream name claimed by two modules"
@@ -54,25 +35,11 @@ class DuplicateStreamName(ProjectRule):
     )
 
     def check(self, project: Project) -> Iterator[Diagnostic]:
-        # Stream families (f"client.{leaf}") claim their whole prefix:
-        # the claim key is "<prefix>*", and a literal name falling under
-        # another module's family prefix collides with the family too.
         claims: Dict[str, List[Tuple[str, ModuleFacts, StreamUse]]] = {}
-        families: Dict[str, List[Tuple[str, ModuleFacts, StreamUse]]] = {}
         for mod_path, mod in project.modules.items():
             for use in mod.streams:
                 if use.name is not None:
                     claims.setdefault(use.name, []).append((mod_path, mod, use))
-                elif _family_prefix(use) is not None:
-                    families.setdefault(_family_prefix(use), []).append(
-                        (mod_path, mod, use)
-                    )
-        for prefix, sites in families.items():
-            key = prefix + "*"
-            claims.setdefault(key, []).extend(sites)
-            for name, name_sites in claims.items():
-                if name != key and name.startswith(prefix):
-                    claims[key] = claims[key] + name_sites
         for name in sorted(claims):
             owners: Set[str] = {mod_path for mod_path, _, _ in claims[name]}
             if len(owners) < 2:
@@ -100,15 +67,14 @@ class NonLiteralStreamName(ProjectRule):
     def check(self, project: Project) -> Iterator[Diagnostic]:
         for mod_path, mod in project.modules.items():
             for use in mod.streams:
-                if use.name is None and _family_prefix(use) is None:
+                if use.name is None:
                     yield self._diag(
                         mod,
                         use.line,
                         use.col,
                         f"non-literal stream name passed to {use.api}() — "
-                        f"use a string literal (or an f-string with a dotted "
-                        f"literal prefix, a stream family) so the stream "
-                        f"registry stays statically auditable",
+                        f"use a string literal so the stream registry "
+                        f"stays statically auditable",
                     )
 
 

@@ -12,9 +12,7 @@ those cross-module passes:
   :class:`ModuleFacts` record: imports (resolved to project modules),
   module-level mutable bindings, class/method structure, per-function
   call and mutation facts, RNG-stream / journal-kind / metric-name
-  literals, and the inline-suppression map.  Facts are plain picklable
-  dataclasses, so parallel parsing (``repro lint --jobs``) ships facts
-  across process boundaries instead of ASTs.
+  literals, and the inline-suppression map.
 * :class:`Project` — the loaded whole program: facts per module plus
   the import-resolution symbol table the passes query.
 * :class:`ProjectRule` — the base class for cross-module rules
@@ -192,23 +190,16 @@ def _annotation_heads(node: Optional[ast.AST]) -> FrozenSet[str]:
 
 
 # ----------------------------------------------------------------------
-# Per-module facts (picklable — they cross process boundaries)
+# Per-module facts
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class StreamUse:
-    """One RNG stream-name site: ``.stream(x)`` / ``derive_seed(_, x)``.
-
-    ``prefix`` is the static literal head of an f-string name
-    (``f"client.{leaf}"`` -> ``"client."``) — the *stream family*
-    idiom for one stream per host.  It stays None for literal
-    names and for f-strings with no literal head.
-    """
+    """One RNG stream-name site: ``.stream(x)`` / ``derive_seed(_, x)``."""
 
     api: str  # "stream" | "spawn" | "derive_seed"
     name: Optional[str]  # literal value, None when dynamic
     line: int
     col: int
-    prefix: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -682,17 +673,10 @@ class _FactsVisitor(ast.NodeVisitor):
 
     def _stream_use(self, api: str, arg: Optional[ast.expr], node: ast.Call) -> None:
         name: Optional[str] = None
-        prefix: Optional[str] = None
         if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
             name = arg.value
-        elif isinstance(arg, ast.JoinedStr) and arg.values:
-            # f-string: capture the static literal head, the auditable
-            # part of a per-host "stream family" name.
-            head = arg.values[0]
-            if isinstance(head, ast.Constant) and isinstance(head.value, str):
-                prefix = head.value
         self.facts.streams.append(
-            StreamUse(api, name, node.lineno, node.col_offset + 1, prefix=prefix)
+            StreamUse(api, name, node.lineno, node.col_offset + 1)
         )
 
     def _collect_callback_refs(self, arg: ast.expr, fn: FunctionFacts) -> None:
@@ -791,8 +775,8 @@ class Project:
         return cls(root, facts)
 
     @classmethod
-    def load(cls, root: str, jobs: Optional[int] = None) -> "Project":
-        """Parse every ``*.py`` under ``root`` (``--jobs`` parallelizes)."""
+    def load(cls, root: str) -> "Project":
+        """Parse every ``*.py`` under ``root``."""
         root_path = Path(root)
         files = sorted(
             f
@@ -802,25 +786,10 @@ class Project:
         rels = [f.relative_to(root_path).as_posix() for f in files]
         known = frozenset(rels)
         display = [str(f) for f in files]
-        facts: Dict[str, ModuleFacts] = {}
-        if jobs is not None and jobs > 1 and len(files) > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                for mf in pool.map(
-                    _extract_one,
-                    [str(f) for f in files],
-                    rels,
-                    [known] * len(files),
-                    display,
-                    chunksize=8,
-                ):
-                    facts[mf.module_path] = mf
-        else:
-            for f, rel, disp in zip(files, rels, display):
-                facts[rel] = extract_facts(
-                    f.read_text(encoding="utf-8"), rel, known, disp
-                )
+        facts = {
+            rel: extract_facts(f.read_text(encoding="utf-8"), rel, known, disp)
+            for f, rel, disp in zip(files, rels, display)
+        }
         return cls(str(root), facts)
 
     # -- symbol table --------------------------------------------------
@@ -870,15 +839,6 @@ class Project:
             return False
         codes = mod.suppressed.get(diag.line)
         return codes is not None and (not codes or diag.code in codes)
-
-
-def _extract_one(
-    path: str, rel: str, known: FrozenSet[str], display: str
-) -> ModuleFacts:
-    """Worker for parallel project loading (module-level: picklable)."""
-    return extract_facts(
-        Path(path).read_text(encoding="utf-8"), rel, known, display
-    )
 
 
 # ----------------------------------------------------------------------

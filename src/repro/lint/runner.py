@@ -16,9 +16,8 @@ Two analysis granularities compose:
   path argument;
 * whole-program passes (:mod:`repro.lint.passes`, RPL1xx-3xx) run
   when ``--project [ROOT]`` is given: the project loader parses the
-  tree once (``--jobs N`` parallelizes parsing across processes) and
-  the cross-module passes check shard-safety, the RNG stream registry
-  and the journal schema.
+  tree once and the cross-module passes check shard-safety, the RNG
+  stream registry and the journal schema.
 
 Output is a deterministically ordered diagnostic list — sorted by
 (path, line, col, code) — as plain text or SARIF 2.1.0
@@ -230,12 +229,11 @@ def project_pass_diagnostics(
 
 def lint_project(
     root: str = "src",
-    jobs: Optional[int] = None,
     rules: Sequence[Rule] = ALL_RULES,
     project_rules: Sequence[ProjectRule] = ALL_PROJECT_RULES,
 ) -> List[Diagnostic]:
     """Whole-program lint: per-file rules plus cross-module passes."""
-    project = Project.load(root, jobs=jobs)
+    project = Project.load(root)
     out: Set[Diagnostic] = set(lint_paths([root], rules=rules))
     out.update(project_pass_diagnostics(project, project_rules))
     return sorted(out)
@@ -288,13 +286,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "handler-written module or class state, which leaks between "
         "scenarios sharing a process and makes serial and pooled "
         "journals diverge), RPL2xx RNG streams, RPL3xx journal schema",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="parse the project with N worker processes",
     )
     parser.add_argument(
         "--format",
@@ -351,7 +342,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"repro lint: not a directory: {args.project}",
                   file=sys.stderr)
             return 2
-        project = Project.load(args.project, jobs=args.jobs)
+        project = Project.load(args.project)
         checked.update(m.display_path for m in project.modules.values())
         diag_set.update(project_pass_diagnostics(project))
     diagnostics = sorted(diag_set)

@@ -68,14 +68,6 @@ WHITELIST: Dict[str, Dict[str, str]] = {
             "function of the derived task seed"
         ),
     },
-    "repro/parallel/seeds.py": {
-        "RPL202": (
-            "task seeds derive from runtime task names "
-            "(derive_seed(root_seed, name)) by design: the pool's "
-            "order-independence proof rests on the name, not on stream "
-            "registration; golden-journal tests pin the exact values"
-        ),
-    },
     "repro/experiments/validation.py": {
         "RPL202": (
             "replication seeds embed the run index "

@@ -48,11 +48,11 @@ class Telemetry:
     def bind(self, sim: Any) -> "Telemetry":
         """Clock the journal off ``sim`` and profile its event loop;
         the simulator also journals its own run boundaries."""
-        # The session rendezvous is per simulation run: a shared hub
-        # (serial run_many) binding a fresh simulator must not let a
-        # previous run's (honeypot, epoch) keys swallow this run's
-        # session_open events — pool workers start empty, and serial
-        # must match them byte-for-byte.
+        # The session rendezvous is per simulation run: a hub shared by
+        # several runs binding a fresh simulator must not let a previous
+        # run's (honeypot, epoch) keys swallow this run's session_open
+        # events — a per-task telemetry starts empty, and a shared one
+        # must match it byte-for-byte.
         self.session_journal.clear()
         self._closed.clear()
         self.journal.clock = lambda: sim.now

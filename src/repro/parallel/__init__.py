@@ -10,9 +10,7 @@ package provides the substrate:
 * :func:`run_tasks` / :class:`PoolConfig` — a supervised worker pool
   with per-task timeout, bounded retry, and poison-task quarantine, so
   one pathological parameter point can neither hang nor kill a sweep;
-* :func:`derive_task_seed` — SHA-256 seed derivation keyed on the task
-  identity, so results are identical regardless of worker count or
-  scheduling order;
+  ``jobs=1`` runs the same tasks in-process;
 * :class:`SweepCheckpoint` — JSON checkpoint/resume of partially
   completed sweeps (only the missing tasks re-run);
 * :func:`absorb_artifact` / :func:`merge_artifacts` — fold per-worker
@@ -20,7 +18,7 @@ package provides the substrate:
   artifact, deterministically (merge order = task order).
 
 Determinism contract: a task carries its full parameter set including
-its derived seed, workers never share RNG state, and all merges happen
+its seed, workers never share RNG state, and all merges happen
 in task-list order — so serial and N-worker runs produce byte-identical
 artifacts modulo wall-time fields (:func:`strip_volatile` removes
 those for comparisons).
@@ -35,7 +33,6 @@ from .pool import (
     resolve_jobs,
     run_tasks,
 )
-from .seeds import derive_task_seed, replicate_seeds
 from .tasks import Task, TaskOutcome
 
 __all__ = [
@@ -46,9 +43,7 @@ __all__ = [
     "Task",
     "TaskOutcome",
     "absorb_artifact",
-    "derive_task_seed",
     "merge_artifacts",
-    "replicate_seeds",
     "resolve_jobs",
     "run_tasks",
     "strip_volatile",

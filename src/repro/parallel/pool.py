@@ -19,8 +19,13 @@ failure in its :class:`PoolReport` and keeps draining the queue.
 Callers map ``report.ok`` to an exit code (the CLI uses
 :data:`PARTIAL_FAILURE_EXIT`).
 
+At ``jobs=1`` the same retry, quarantine, checkpoint and status code
+runs the tasks in-process, one after another, and a failed attempt is
+described by the same error text, so a report reads the same at
+every job count.
+
 Determinism: task functions derive all randomness from their payload
-(see :mod:`repro.parallel.seeds`), so results do not depend on which
+(each task's params carry its seed), so results do not depend on which
 worker ran a task or in what order.  The report keeps outcomes keyed
 by task id; merging layers iterate in task-list order.
 """
@@ -32,7 +37,6 @@ import json
 import multiprocessing as mp
 import os
 import time
-import traceback
 from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing.connection import Connection
@@ -168,19 +172,15 @@ def resolve_jobs(jobs: Optional[int] = None, env: str = JOBS_ENV) -> int:
 class PoolConfig:
     """Knobs of one pool run.
 
-    ``inline=None`` means "run in-process when jobs <= 1" — the serial
-    path then has zero multiprocessing overhead.  Forcing
-    ``inline=False`` spawns worker processes even for jobs=1, which the
-    golden tests use to prove 1-worker == serial.  Inline execution
-    cannot preempt a hung task, so ``timeout`` only applies to
-    subprocess workers.
+    ``jobs=1`` runs the tasks in-process with no multiprocessing
+    overhead; ``jobs > 1`` fans them out over that many worker
+    processes.  An in-process task cannot be preempted, so ``timeout``
+    only applies to worker processes.
     """
 
     jobs: int = 1
     timeout: Optional[float] = None
     max_attempts: int = 2
-    start_method: Optional[str] = None
-    inline: Optional[bool] = None
     # Directory for the live pool-level view: the supervisor rewrites
     # ``pool.status.json`` there (worker liveness + per-task stream
     # tails) so `repro watch DIR` can follow a running sweep.  None
@@ -195,17 +195,20 @@ class PoolConfig:
         if self.timeout is not None and self.timeout <= 0:
             raise ValueError(f"timeout must be positive (got {self.timeout})")
 
-    def run_inline(self) -> bool:
-        return self.jobs <= 1 if self.inline is None else self.inline
 
-    def mp_context(self) -> BaseContext:
-        if self.start_method is not None:
-            return mp.get_context(self.start_method)
-        # fork is the cheap path on POSIX; spawn works too (tasks are
-        # pickled over the pipe either way) but pays interpreter startup.
-        if "fork" in mp.get_all_start_methods():
-            return mp.get_context("fork")
-        return mp.get_context()
+def _mp_context() -> BaseContext:
+    # fork is the cheap path on POSIX; spawn works too (tasks are
+    # pickled over the pipe either way) but pays interpreter startup.
+    if "fork" in mp.get_all_start_methods():
+        return mp.get_context("fork")
+    return mp.get_context()
+
+
+def _failure(exc: BaseException) -> str:
+    """The recorded error of one failed attempt, in-process or in a
+    worker alike: type and message, without the call stack that
+    differs between the two."""
+    return f"{type(exc).__name__}: {exc}"
 
 
 @dataclass
@@ -255,6 +258,9 @@ def run_tasks(
 ) -> PoolReport:
     """Run ``tasks`` to completion; never raises on task failure.
 
+    ``config.jobs == 1`` runs them in-process, in task order; more jobs
+    run them on supervised worker processes.
+
     ``checkpoint`` (a :class:`~repro.parallel.checkpoint.SweepCheckpoint`)
     short-circuits tasks it already holds and records each fresh "ok"
     outcome as it lands, so a killed sweep resumes with exactly the
@@ -302,7 +308,7 @@ def run_tasks(
             on_outcome(outcome)
 
     if pending:
-        if config.run_inline():
+        if config.jobs == 1:
             _run_inline(pending, config, record, status)
         else:
             _run_pool(pending, config, record, status)
@@ -312,7 +318,7 @@ def run_tasks(
 
 
 # ----------------------------------------------------------------------
-# Inline execution (jobs == 1 fast path; no subprocess machinery)
+# Inline execution (jobs == 1; no subprocess machinery)
 # ----------------------------------------------------------------------
 def _run_inline(
     pending: deque,
@@ -334,13 +340,12 @@ def _run_inline(
         try:
             value = task.fn(task.payload)
         except Exception as exc:
-            err = f"{type(exc).__name__}: {exc}"
             if attempts >= config.max_attempts:
                 record(
                     TaskOutcome(
                         task.task_id,
                         STATUS_QUARANTINED,
-                        error=err,
+                        error=_failure(exc),
                         attempts=attempts,
                         wall_time_s=time.perf_counter() - started,
                     )
@@ -375,8 +380,7 @@ def _worker_main(conn: Connection) -> None:  # pragma: no cover - runs in subpro
             value = fn(payload)
             reply = (STATUS_OK, task_id, value)
         except BaseException as exc:
-            tb = traceback.format_exc(limit=8)
-            reply = ("error", task_id, f"{type(exc).__name__}: {exc}\n{tb}")
+            reply = ("error", task_id, _failure(exc))
         try:
             conn.send(reply)
         except (BrokenPipeError, OSError):
@@ -456,7 +460,7 @@ def _run_pool(
     record: Callable[[TaskOutcome], None],
     status: Optional[_PoolStatusWriter] = None,
 ) -> None:
-    ctx = config.mp_context()
+    ctx = _mp_context()
     n_workers = min(config.jobs, len(pending))
     workers: List[Optional[_Worker]] = [_Worker(ctx) for _ in range(n_workers)]
 

@@ -24,6 +24,7 @@ pushback/defense review timers sample at 100ms+).
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Callable, Optional
 
 from .engine import Simulator
@@ -75,10 +76,12 @@ class Channel:
         queue_limit: int = 50,
         queue: Optional[DropTailQueue] = None,
     ) -> None:
-        if bandwidth_bps <= 0:
-            raise ValueError(f"bandwidth must be positive (got {bandwidth_bps})")
-        if delay < 0:
-            raise ValueError(f"delay must be >= 0 (got {delay})")
+        if not 0 < bandwidth_bps < math.inf:
+            raise ValueError(
+                f"bandwidth must be positive and finite (got {bandwidth_bps})"
+            )
+        if not 0 <= delay < math.inf:
+            raise ValueError(f"delay must be finite and >= 0 (got {delay})")
         self.sim = sim
         self.src = src
         self.dst = dst

@@ -11,9 +11,10 @@ import pytest
 from repro.experiments.runner import (
     render_series,
     render_table,
-    replicate_scenario,
+    result_to_dict,
+    run_many,
+    run_sweep,
     summarize,
-    sweep_scenario,
 )
 from repro.experiments.scenarios import (
     PARAMETER_TABLE,
@@ -161,9 +162,9 @@ class TestRunnerHelpers:
             FAST, n_leaves=12, n_attackers=3, duration=12.0,
             attack_start=2.0, attack_end=10.0, defense="none",
         )
-        reps = replicate_scenario(fast, seeds=[0, 1])
-        assert len(reps) == 2
-        swept = sweep_scenario(fast, "n_attackers", [1, 2], seeds=[0])
+        reps = run_many({s: replace(fast, seed=s) for s in (0, 1)})
+        assert [r.params.seed for r in reps.values()] == [0, 1]
+        swept = run_sweep(fast, "n_attackers", [1, 2], seeds=[0]).results
         assert set(swept) == {1, 2}
         assert all(len(v) == 1 for v in swept.values())
 
@@ -236,42 +237,51 @@ class TestParallelRunner:
         attack_start=2.0, attack_end=10.0, defense="none",
     )
 
-    def test_replicate_derives_distinct_seeds_from_n(self):
-        from repro.parallel import replicate_seeds
-
-        reps = replicate_scenario(self.TINY, n=3)
-        seeds = [r.params.seed for r in reps]
-        assert seeds == replicate_seeds(self.TINY.seed, 3)
-        assert len(set(seeds)) == 3
-
-    def test_replicate_requires_seeds_or_n(self):
-        with pytest.raises(ValueError):
-            replicate_scenario(self.TINY)
-
     def test_pooled_replicate_matches_serial(self):
-        from repro.experiments.runner import result_to_dict
-        from repro.parallel import PoolConfig
-
-        serial = replicate_scenario(self.TINY, seeds=[0, 1])
-        pooled = replicate_scenario(
-            self.TINY, seeds=[0, 1],
-            pool_config=PoolConfig(jobs=2, inline=False),
-        )
-        assert [result_to_dict(r) for r in serial] == [
-            result_to_dict(r) for r in pooled
-        ]
+        named = {s: replace(self.TINY, seed=s) for s in (0, 1)}
+        serial = run_many(named, jobs=1)
+        pooled = run_many(named, jobs=2)
+        assert {k: result_to_dict(r) for k, r in serial.items()} == {
+            k: result_to_dict(r) for k, r in pooled.items()
+        }
 
     def test_pooled_sweep_matches_serial(self):
-        from repro.experiments.runner import result_to_dict
-        from repro.parallel import PoolConfig
+        from repro.parallel import strip_volatile
 
-        serial = sweep_scenario(self.TINY, "n_attackers", [1, 2], seeds=[0])
-        pooled = sweep_scenario(
-            self.TINY, "n_attackers", [1, 2], seeds=[0],
-            pool_config=PoolConfig(jobs=2, inline=False),
-        )
+        serial = run_sweep(self.TINY, "n_attackers", [1, 2], seeds=[0], jobs=1)
+        pooled = run_sweep(self.TINY, "n_attackers", [1, 2], seeds=[0], jobs=2)
         assert {
-            v: [result_to_dict(r) for r in rs] for v, rs in serial.items()
+            v: [result_to_dict(r) for r in rs] for v, rs in serial.results.items()
         } == {
-            v: [result_to_dict(r) for r in rs] for v, rs in pooled.items()
+            v: [result_to_dict(r) for r in rs] for v, rs in pooled.results.items()
         }
+        assert strip_volatile(serial.artifact()) == strip_volatile(
+            pooled.artifact()
+        )
+
+    def test_multi_run_scenario_summary_keeps_the_first_run(self):
+        # The merged artifact's per-defense "scenario" entry is the first
+        # honeypot run's, whole: a later reflection run's extra keys must
+        # not fill it in, at any job count.
+        from repro.obs import Telemetry
+        from repro.parallel import strip_volatile
+
+        continuous = replace(self.TINY, defense="honeypot", epoch_len=4.0, seed=3)
+        named = {
+            "continuous": continuous,
+            "reflection": replace(
+                continuous, attacker_policy="reflection", n_amplifiers=2
+            ),
+        }
+        artifacts = {}
+        for jobs in (1, 2):
+            telemetry = Telemetry()
+            run_many(named, jobs=jobs, telemetry=telemetry)
+            artifacts[jobs] = strip_volatile(telemetry.artifact())
+        assert artifacts[1] == artifacts[2]
+        alone = Telemetry()
+        run_tree_scenario(continuous, telemetry=alone)
+        assert (
+            artifacts[1]["scenario"]["honeypot"]
+            == alone.extra["scenario"]["honeypot"]
+        )

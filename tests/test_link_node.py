@@ -64,6 +64,14 @@ class TestChannel:
             Link(sim, a, b, 0.0, 0.1)
         with pytest.raises(ValueError):
             Link(sim, a, b, 1e6, -0.1)
+        # NaN passes a plain `<= 0` / `< 0` test; it and inf would
+        # only fail later, mid-run (NaN event times) or never (inf
+        # delay delivers nothing).
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                Link(sim, a, b, bad, 0.1)
+            with pytest.raises(ValueError):
+                Link(sim, a, b, 1e6, bad)
 
 
 class TestLink:

@@ -12,8 +12,8 @@ On top of the per-rule tests: the repo-is-clean meta-test (the same
 gate CI runs with ``repro lint --project``), SARIF 2.1.0 golden output
 validated against a vendored structural subset of the OASIS schema,
 the baseline lifecycle (baselined finding → exit 0; new finding →
-exit 1; stale entry → drift → exit 1), ``--jobs`` equivalence, and
-deterministic diagnostic ordering.
+exit 1; stale entry → drift → exit 1), and deterministic diagnostic
+ordering.
 """
 
 import json
@@ -148,20 +148,20 @@ class TestProjectSuppression:
 
 
 class TestStreamFamilies:
-    """The *stream family* idiom for one RNG stream per host:
-    ``f"client.{leaf}"`` — an f-string with a dotted literal prefix —
-    is statically auditable by its prefix, so RPL202 accepts it and
-    RPL201 claims the prefix like a literal name.
+    """An f-string stream name is dynamic whatever its literal head:
+    RPL202 flags ``f"client.{leaf}"`` like any other runtime name.
     """
 
     def test_dotted_prefix_family_passes_rpl202(self):
+        # A dotted literal head does not make the name auditable.
         sources = {
             "m.py": (
                 "def f(reg, leaf):\n"
                 '    return reg.stream(f"client.{leaf}")\n'
             ),
         }
-        assert project_pass_diagnostics(Project.from_sources(sources)) == []
+        diags = project_pass_diagnostics(Project.from_sources(sources))
+        assert [d.code for d in diags] == ["RPL202"]
 
     def test_bare_fstring_head_still_fires(self):
         sources = {
@@ -183,46 +183,11 @@ class TestStreamFamilies:
         diags = project_pass_diagnostics(Project.from_sources(sources))
         assert [d.code for d in diags] == ["RPL202"]
 
-    def test_family_collision_across_modules_fires_rpl201(self):
-        sources = {
-            "a.py": (
-                "def f(reg, leaf):\n"
-                '    return reg.stream(f"client.{leaf}")\n'
-            ),
-            "b.py": (
-                "def g(reg, leaf):\n"
-                '    return reg.stream(f"client.{leaf}")\n'
-            ),
-        }
-        diags = project_pass_diagnostics(Project.from_sources(sources))
-        assert [d.code for d in diags] == ["RPL201", "RPL201"]
-
-    def test_literal_name_under_foreign_family_fires_rpl201(self):
-        sources = {
-            "a.py": (
-                "def f(reg, leaf):\n"
-                '    return reg.stream(f"client.{leaf}")\n'
-            ),
-            "b.py": (
-                "def g(reg):\n"
-                '    return reg.stream("client.7")\n'
-            ),
-        }
-        diags = project_pass_diagnostics(Project.from_sources(sources))
-        assert sorted(d.code for d in diags) == ["RPL201", "RPL201"]
-
 
 class TestRepoIsClean:
     def test_whole_program_passes_clean_on_src(self):
         diags = lint_project(str(REPO_ROOT / "src"))
         assert diags == [], [d.render() for d in diags]
-
-    def test_jobs_parallel_equals_serial(self):
-        root = str(FIXTURES / "rpl101_bad")
-        serial = lint_project(root)
-        parallel = lint_project(root, jobs=2)
-        assert serial == parallel
-        assert serial != []  # the fixture really produces findings
 
     def test_diagnostic_ordering_is_stable(self):
         diags = _project_diags("rpl304_bad")

@@ -1,5 +1,5 @@
 """Golden-result regression suite: fixed-seed scenario digests, and
-serial == parallel (1, 2, 4 workers) byte-for-byte on the artifact dict.
+serial == pooled (1, 2, 4 jobs) byte-for-byte on the artifact dict.
 
 One representative point per tree-scenario figure (Figs. 8, 10, 11) at
 a tiny scale so the suite stays fast.  The SHA-256 digests pin the
@@ -8,8 +8,11 @@ models, or seed derivation that alters results must update them
 consciously.
 
 The parallel half proves the pool's determinism contract: the same
-tasks through subprocess workers (1, 2, and 4 of them) produce
+tasks run in-process (1 job) or on 2 or 4 worker processes produce
 artifact dicts whose canonical JSON is identical to the serial run's.
+The serial reference is built here, with plain ``run_tree_scenario``
+calls into one shared telemetry, so it does not go through the pool
+or its artifact merge.
 """
 
 import hashlib
@@ -75,6 +78,20 @@ def digest(artifact: dict) -> str:
     return hashlib.sha256(canonical(artifact).encode()).hexdigest()
 
 
+def serial_telemetry_of(points: dict):
+    """One shared telemetry fed by ``run_tree_scenario`` per point, each
+    run bracketed like a pool task — the independent serial reference
+    the pooled journals are held to."""
+    from repro.obs import Telemetry
+
+    telemetry = Telemetry()
+    for name, params in points.items():
+        telemetry.journal.record("pool_task_start", at=0.0, task=name)
+        run_tree_scenario(params, telemetry=telemetry)
+        telemetry.journal.record("pool_task_finish", task=name)
+    return telemetry
+
+
 @pytest.fixture(scope="module")
 def serial_artifacts():
     """The serial (no-pool) artifact dict of every golden point."""
@@ -105,8 +122,7 @@ class TestSerialEqualsParallel:
             Task(name, run_scenario_task, {"params": params, "telemetry": False})
             for name, params in GOLDEN_POINTS.items()
         ]
-        # inline=False: even jobs=1 goes through real worker processes.
-        report = run_tasks(tasks, PoolConfig(jobs=jobs, inline=False))
+        report = run_tasks(tasks, PoolConfig(jobs=jobs))
         assert report.ok
         for name in GOLDEN_POINTS:
             pooled = report.value(name)["result"]
@@ -121,12 +137,7 @@ class TestInstrumentedSerialEqualsParallel:
 
     @pytest.fixture(scope="class")
     def serial_telemetry(self):
-        from repro.experiments.runner import run_many
-        from repro.obs import Telemetry
-
-        telemetry = Telemetry()
-        run_many(dict(GOLDEN_POINTS), telemetry=telemetry)
-        return telemetry
+        return serial_telemetry_of(GOLDEN_POINTS)
 
     @pytest.mark.parametrize("jobs", [1, 2, 4])
     def test_merged_journal_and_spans_match_serial(
@@ -137,11 +148,7 @@ class TestInstrumentedSerialEqualsParallel:
         from repro.obs.journal import diff_journals, render_timeline
 
         pooled = Telemetry()
-        run_many(
-            dict(GOLDEN_POINTS),
-            pool_config=PoolConfig(jobs=jobs, inline=False),
-            telemetry=pooled,
-        )
+        run_many(dict(GOLDEN_POINTS), jobs=jobs, telemetry=pooled)
         assert diff_journals(serial_telemetry.journal, pooled.journal) is None
         timeline = render_timeline(pooled.journal)
         assert "port_close" in timeline
@@ -180,16 +187,11 @@ POLICY_POINTS = {
 class TestPolicyGoldenJournals:
     """Determinism of the adversary-policy subsystem: every policy's
     instrumented journal is byte-identical serial vs pooled (1, 2, 4
-    workers)."""
+    jobs)."""
 
     @pytest.fixture(scope="class")
     def serial_policy_telemetry(self):
-        from repro.experiments.runner import run_many
-        from repro.obs import Telemetry
-
-        telemetry = Telemetry()
-        run_many(dict(POLICY_POINTS), telemetry=telemetry)
-        return telemetry
+        return serial_telemetry_of(POLICY_POINTS)
 
     @pytest.mark.parametrize("jobs", [1, 2, 4])
     def test_pool_journal_matches_serial(
@@ -200,11 +202,7 @@ class TestPolicyGoldenJournals:
         from repro.obs.journal import diff_journals
 
         pooled = Telemetry()
-        run_many(
-            dict(POLICY_POINTS),
-            pool_config=PoolConfig(jobs=jobs, inline=False),
-            telemetry=pooled,
-        )
+        run_many(dict(POLICY_POINTS), jobs=jobs, telemetry=pooled)
         assert diff_journals(serial_policy_telemetry.journal, pooled.journal) is None
         serial_path = serial_policy_telemetry.journal.write_jsonl(
             tmp_path / "serial.jsonl"

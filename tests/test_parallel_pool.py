@@ -1,4 +1,4 @@
-"""Tests for repro.parallel: pool fault tolerance, seeds, checkpoints.
+"""Tests for repro.parallel: pool fault tolerance, checkpoints.
 
 The fault-injection tasks (raise / sleep past the timeout / hard exit)
 are module-level functions so worker processes can unpickle them by
@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.experiments.runner import replicate_scenario, result_to_dict
+from repro.experiments.runner import result_to_dict, run_sweep
 from repro.experiments.scenarios import TreeScenarioParams
 from repro.parallel import (
     PARTIAL_FAILURE_EXIT,
@@ -20,13 +20,11 @@ from repro.parallel import (
     SweepCheckpoint,
     Task,
     TaskOutcome,
-    derive_task_seed,
-    replicate_seeds,
     resolve_jobs,
     run_tasks,
 )
 
-POOL = PoolConfig(jobs=2, inline=False, timeout=10.0)
+POOL = PoolConfig(jobs=2, timeout=10.0)
 
 
 # ----------------------------------------------------------------------
@@ -58,29 +56,6 @@ def _fail_until_marker(path):
             fh.write("attempted")
         raise RuntimeError("flaky first attempt")
     return "recovered"
-
-
-class TestSeeds:
-    def test_deterministic(self):
-        assert derive_task_seed(0, "replicate", 3) == derive_task_seed(
-            0, "replicate", 3
-        )
-
-    def test_distinct_across_path_and_root(self):
-        seeds = {
-            derive_task_seed(0, "replicate", 0),
-            derive_task_seed(0, "replicate", 1),
-            derive_task_seed(1, "replicate", 0),
-            derive_task_seed(0, "sweep", 0),
-        }
-        assert len(seeds) == 4
-
-    def test_replicate_seeds(self):
-        seeds = replicate_seeds(7, 5)
-        assert len(seeds) == len(set(seeds)) == 5
-        assert seeds == replicate_seeds(7, 5)
-        with pytest.raises(ValueError):
-            replicate_seeds(7, -1)
 
 
 class TestResolveJobs:
@@ -133,7 +108,7 @@ class TestInlineExecution:
 class TestPoolExecution:
     def test_basic_fanout(self):
         tasks = [Task(f"t{i}", _square, i) for i in range(10)]
-        report = run_tasks(tasks, PoolConfig(jobs=3, inline=False))
+        report = run_tasks(tasks, PoolConfig(jobs=3))
         assert report.ok
         assert sorted(report.executed) == sorted(t.task_id for t in tasks)
         # Outcomes iterate in task order regardless of completion order.
@@ -143,18 +118,28 @@ class TestPoolExecution:
         ]
 
     def test_single_worker_pool_matches_inline(self):
+        # jobs=1 runs in-process; its report equals a two-worker pool's.
         tasks = [Task(f"t{i}", _square, i) for i in range(4)]
         inline = run_tasks(tasks, PoolConfig(jobs=1))
-        pooled = run_tasks(tasks, PoolConfig(jobs=1, inline=False))
-        assert [o.value for o in inline.outcomes.values()] == [
-            o.value for o in pooled.outcomes.values()
-        ]
+        pooled = run_tasks(tasks, PoolConfig(jobs=2))
+        assert inline.as_dict(include_timing=False) == pooled.as_dict(
+            include_timing=False
+        )
+
+    def test_quarantine_reads_the_same_at_every_job_count(self):
+        tasks = [Task("bad", _raise_on_negative, -5), Task("ok", _square, 3)]
+        inline = run_tasks(tasks, PoolConfig(jobs=1))
+        pooled = run_tasks(tasks, PoolConfig(jobs=2))
+        assert inline.quarantined == pooled.quarantined == ["bad"]
+        assert inline.outcomes["bad"].as_dict(
+            include_timing=False
+        ) == pooled.outcomes["bad"].as_dict(include_timing=False)
 
     def test_raising_task_quarantined_sweep_completes(self):
         tasks = [Task("bad", _raise_on_negative, -5)] + [
             Task(f"ok{i}", _square, i) for i in range(4)
         ]
-        report = run_tasks(tasks, PoolConfig(jobs=2, inline=False, max_attempts=2))
+        report = run_tasks(tasks, PoolConfig(jobs=2, max_attempts=2))
         assert report.quarantined == ["bad"]
         assert report.outcomes["bad"].attempts == 2
         assert "ValueError" in report.outcomes["bad"].error
@@ -169,7 +154,7 @@ class TestPoolExecution:
         ]
         report = run_tasks(
             tasks,
-            PoolConfig(jobs=2, inline=False, timeout=0.4, max_attempts=2),
+            PoolConfig(jobs=2, timeout=0.4, max_attempts=2),
         )
         wall = time.perf_counter() - start
         assert report.quarantined == ["hang"]
@@ -184,7 +169,7 @@ class TestPoolExecution:
         tasks = [Task("dead", _hard_exit, 13)] + [
             Task(f"ok{i}", _square, i) for i in range(3)
         ]
-        report = run_tasks(tasks, PoolConfig(jobs=2, inline=False, max_attempts=2))
+        report = run_tasks(tasks, PoolConfig(jobs=2, max_attempts=2))
         assert report.quarantined == ["dead"]
         assert "worker died" in report.outcomes["dead"].error
         for i in range(3):
@@ -272,7 +257,10 @@ class TestCheckpoint:
 
 class TestCheckpointParams:
     """A checkpointed outcome is reused only under the params it was
-    recorded with: ids like ``seed=0`` do not encode the base params."""
+    recorded with: ids like ``n_attackers=3/seed=0`` do not encode the
+    base params."""
+
+    TASK = "n_attackers=3/seed=0"
 
     BASE = TreeScenarioParams(
         n_leaves=20,
@@ -283,37 +271,41 @@ class TestCheckpointParams:
         attack_end=4.0,
     )
 
-    def test_changed_params_rerun_instead_of_resuming(self, tmp_path):
-        path = tmp_path / "ck.json"
-        (first,) = replicate_scenario(
-            self.BASE, seeds=[0], checkpoint=SweepCheckpoint(path)
-        )
-        assert first.params.defense == "honeypot"
-        (second,) = replicate_scenario(
-            replace(self.BASE, defense="none"),
-            seeds=[0],
+    def _sweep(self, base, path):
+        run = run_sweep(
+            base, "n_attackers", [3], seeds=[0],
             checkpoint=SweepCheckpoint(path),
         )
+        assert run.report.ok
+        (result,) = run.results[3]
+        return run, result
+
+    def test_changed_params_rerun_instead_of_resuming(self, tmp_path):
+        path = tmp_path / "ck.json"
+        _, first = self._sweep(self.BASE, path)
+        assert first.params.defense == "honeypot"
+        run, second = self._sweep(replace(self.BASE, defense="none"), path)
+        assert run.report.executed == [self.TASK]
+        assert run.report.resumed == []
         assert second.params.defense == "none"
         assert second.capture_times == {}
-        stored = SweepCheckpoint(path).get("seed=0")
+        stored = SweepCheckpoint(path).get(self.TASK)
         assert stored["value"]["result"]["params"]["defense"] == "none"
 
     def test_outcome_with_retired_params_fields_is_rerun(self, tmp_path):
         path = tmp_path / "ck.json"
-        (fresh,) = replicate_scenario(
-            self.BASE, seeds=[0], checkpoint=SweepCheckpoint(path)
-        )
+        _, fresh = self._sweep(self.BASE, path)
+        run, _ = self._sweep(self.BASE, path)
+        assert run.report.resumed == [self.TASK]
         # A checkpoint written while the params carried a field that no
         # longer exists must not reach TreeScenarioParams(**params).
         data = json.loads(path.read_text())
-        data["outcomes"]["seed=0"]["value"]["result"]["params"]["shards"] = 0
+        data["outcomes"][self.TASK]["value"]["result"]["params"]["shards"] = 0
         path.write_text(json.dumps(data))
-        (again,) = replicate_scenario(
-            self.BASE, seeds=[0], checkpoint=SweepCheckpoint(path)
-        )
+        run, again = self._sweep(self.BASE, path)
+        assert run.report.executed == [self.TASK]
         assert result_to_dict(again) == result_to_dict(fresh)
-        stored = SweepCheckpoint(path).get("seed=0")
+        stored = SweepCheckpoint(path).get(self.TASK)
         assert "shards" not in stored["value"]["result"]["params"]
 
 

@@ -146,7 +146,7 @@ class TestMergeSemantics:
             "n_attackers",
             values,
             seeds,
-            pool_config=PoolConfig(jobs=3, inline=False),
+            pool_config=PoolConfig(jobs=3),
             task_fn=stub_scenario_task,
         )
         assert results_fingerprint(inline) == results_fingerprint(pooled)

@@ -9,7 +9,7 @@ import pytest
 from repro.experiments.runner import run_many
 from repro.experiments.scenarios import TreeScenarioParams, run_tree_scenario
 from repro.obs import EngineProfiler, Telemetry
-from repro.parallel import PoolConfig, strip_volatile
+from repro.parallel import strip_volatile
 from repro.parallel.merge import absorb_artifact
 from repro.sim.engine import Simulator
 
@@ -121,15 +121,12 @@ class TestPooledDimensionMerge:
         return strip_volatile(telemetry.profiler.dimension_rows())
 
     def test_pool_merges_dimension_tables_like_serial(self):
+        # Serial reference: one shared telemetry, no pool and no merge.
         serial = Telemetry()
-        run_many(dict(self.POINTS), telemetry=serial, profile=True)
+        for params in self.POINTS.values():
+            run_tree_scenario(params, telemetry=serial, profile=True)
         pooled = Telemetry()
-        run_many(
-            dict(self.POINTS),
-            pool_config=PoolConfig(jobs=2, inline=False),
-            telemetry=pooled,
-            profile=True,
-        )
+        run_many(dict(self.POINTS), jobs=2, telemetry=pooled, profile=True)
         assert self._dims(serial) == self._dims(pooled)
         assert serial.profiler.dims, "serial sweep produced no dimensions"
 

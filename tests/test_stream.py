@@ -338,6 +338,38 @@ class TestPoolStreams:
         d = str(tmp_path)
         run_many({"solo": TINY}, jobs=1, stream={"dir": d})
         assert validate_stream(stream_path_for(d, "solo"))["final"] is True
+        status = load_pool_status(d)
+        assert status["jobs"] == 1 and status["done"] is True
+        assert status["tasks"]["done"] == 1
+
+    def test_final_records_match_at_every_job_count(self, tmp_path):
+        # Each task streams from its own telemetry: a run never sees an
+        # earlier run's totals, so jobs=1 and jobs=2 end on the same
+        # record.  Only the final record is compared — the wall cap
+        # makes the record count timing-dependent.
+        from dataclasses import replace
+
+        from repro.experiments.runner import run_many
+
+        named = {"a": TINY, "b": replace(TINY, seed=2)}
+        finals = {}
+        for jobs in (1, 2):
+            d = str(tmp_path / f"jobs{jobs}")
+            run_many(
+                named, jobs=jobs, telemetry=Telemetry(),
+                stream={"dir": d, "interval": 2.0},
+            )
+            for name in named:
+                _, records = read_stream(stream_path_for(d, name))
+                final = records[-1]
+                assert final["final"] is True
+                finals[jobs, name] = (
+                    final["metrics"],
+                    final["engine"]["events"],
+                    final["engine"]["heap_hwm"],
+                )
+        for name in named:
+            assert finals[1, name] == finals[2, name]
 
     def test_stream_config_for_round_trip(self):
         from repro.experiments.runner import _stream_config_for
