@@ -57,9 +57,6 @@ class PortBlockFilter:
         self._blocked.discard(channel)
         self.blocked_hosts.pop(channel.src.addr, None)
 
-    def is_blocked(self, channel: Channel) -> bool:
-        return channel in self._blocked
-
     def hook(self, pkt: Packet, in_channel) -> bool:
         """Router ingress hook: drop everything from blocked ports."""
         if in_channel is not None and in_channel in self._blocked:

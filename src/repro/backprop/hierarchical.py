@@ -79,10 +79,6 @@ class MultiASTopology:
     def site(self, asn: int) -> ASSite:
         return self.sites[asn]
 
-    def upstream_of(self, asn: int, toward: int) -> int:
-        path = nx.shortest_path(self.as_graph, asn, toward)
-        return path[1]
-
 
 def build_multi_as_network(
     as_chain_hosts: List[int],

@@ -12,10 +12,12 @@ The HSM of an AS:
   by :mod:`repro.backprop.marking`: GRE tunnels or edge-router ID
   marking identify the ingress edge router / upstream AS);
 * relays requests to the HSMs of upstream neighbor ASs from which
-  honeypot traffic arrives;
-* on cancel, tears the session down and relays cancels along the
-  request tree — unless this is a non-transit AS still running
-  intra-AS traceback.
+  honeypot traffic arrives.
+
+Cancels are walked by the inter-AS engine
+(:class:`repro.backprop.interas.InterASBackprop`), which tears each
+session down with :meth:`HSM.drop_session` — unless the AS is a
+non-transit AS still running intra-AS traceback.
 
 HSM protection (Section 5.3) is reflected in the constructor: HSMs get
 private addresses (not routable from outside the AS) and only accept
@@ -25,15 +27,10 @@ MAC-verified messages from peered neighbor HSMs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..crypto.auth import KeyRing
-from .messages import (
-    HoneypotCancel,
-    HoneypotRequest,
-    sign_inter_as,
-    verify_inter_as,
-)
+from .messages import HoneypotRequest, sign_inter_as, verify_inter_as
 from .session import HoneypotSession
 
 __all__ = ["HSMState", "HSM"]
@@ -49,8 +46,6 @@ class HSMState:
 
     requests_received: int = 0
     requests_relayed: int = 0
-    cancels_received: int = 0
-    cancels_relayed: int = 0
     forged_rejected: int = 0
     diversions_installed: int = 0
 
@@ -108,44 +103,6 @@ class HSM:
         return sign_inter_as(msg, auth)
 
     # ------------------------------------------------------------------
-    def accept_cancel(
-        self, msg: HoneypotCancel, from_as: Optional[int], now: float
-    ) -> Optional[List[int]]:
-        """Validate a cancel; returns the upstream ASs to relay it to
-        (empty list if none), or None if rejected / no session.
-
-        Non-transit ASs retain their session for intra-AS traceback
-        (the caller is told to relay nothing and must not delete the
-        session until intra-AS completes) — handled by the engine.
-        """
-        if from_as is not None:
-            if not self.keyring.has(self.asn, from_as) or not verify_inter_as(
-                msg, self.keyring.between(self.asn, from_as)
-            ):
-                self.state.forged_rejected += 1
-                return None
-        sess = self.sessions.get(msg.honeypot_addr)
-        if sess is None or sess.epoch != msg.epoch:
-            return None
-        self.state.cancels_received += 1
-        upstream = [
-            asn for asn in sess.propagated_to if isinstance(asn, int)
-        ]
-        return upstream
-
-    def make_cancel_for(self, honeypot_addr: int, epoch: int, to_as: int) -> HoneypotCancel:
-        auth = self.keyring.establish(self.asn, to_as)
-        msg = HoneypotCancel(honeypot_addr, epoch, origin_as=self.asn)
-        self.state.cancels_relayed += 1
-        return sign_inter_as(msg, auth)
-
     def drop_session(self, honeypot_addr: int) -> None:
         self.sessions.pop(honeypot_addr, None)
         self.downstream_of.pop(honeypot_addr, None)
-
-    def record_metrics(self, registry) -> None:
-        """Fold this HSM's bookkeeping counters into a
-        :class:`repro.obs.MetricsRegistry` (labeled by AS number)."""
-        for name, value in vars(self.state).items():
-            if value:
-                registry.counter(f"hsm_{name}_total", asn=self.asn).inc(value)

@@ -256,15 +256,6 @@ class InterASBackprop:
     def capture_times(self) -> Dict[int, float]:
         return dict(self.captures)
 
-    def snapshot_telemetry(self) -> None:
-        """Fold post-run HSM counters and message totals into the
-        attached telemetry (no-op without telemetry)."""
-        if self.telemetry is None:
-            return
-        for hsm in self.hsms.values():
-            hsm.record_metrics(self.telemetry.registry)
-        self.telemetry.record_stats(self.messages, prefix="interas_")
-
     # ------------------------------------------------------------------
     # Epoch machinery
     # ------------------------------------------------------------------
@@ -345,9 +336,6 @@ class InterASBackprop:
     # ------------------------------------------------------------------
     # Session creation and propagation
     # ------------------------------------------------------------------
-    def _session_alive(self, asn: int, epoch: int) -> bool:
-        return (asn, epoch) in self._alive or asn in self._retained_stubs
-
     def _create_session(self, asn: int, epoch: int, from_as: Optional[int]) -> None:
         now = self.sim.now
         # A request that was in flight when the epoch's cancel wave was

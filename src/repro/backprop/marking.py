@@ -56,10 +56,6 @@ class EdgeRouterMarker:
         self._upstream[mark] = upstream_as
         return mark
 
-    @property
-    def bits_in_use(self) -> int:
-        return marking_bits_needed(max(1, self._next - 1))
-
     def mark(self, pkt: Packet, edge_router: object) -> None:
         """Stamp the edge router's ID into the packet's mark field."""
         mark = self._ids.get(edge_router)

@@ -183,7 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help="per-task wall-clock timeout (worker is killed and the "
-        "task retried, then quarantined)",
+        "task retried, then quarantined); with --jobs 1 the tasks then "
+        "run on one worker process instead of in-process",
     )
     w.add_argument(
         "--max-attempts",
@@ -770,11 +771,14 @@ def _run_sweep_command(args) -> int:
     )
     values = _parse_sweep_values(base, args.field, args.values)
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-    config = PoolConfig(
-        jobs=resolve_jobs(args.jobs),
-        timeout=args.timeout,
-        max_attempts=args.max_attempts,
-    )
+    try:
+        config = PoolConfig(
+            jobs=resolve_jobs(args.jobs),
+            timeout=args.timeout,
+            max_attempts=args.max_attempts,
+        )
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}") from None
     checkpoint = SweepCheckpoint(args.checkpoint) if args.checkpoint else None
     telemetry = None
     if args.metrics_out or args.journal_out or args.profile:

@@ -9,9 +9,10 @@ and including epoch t."  (Section 4)
 The client derives the key of any epoch i <= t by hashing K_t forward
 (t - i) times, computes the epoch's active set with it, and contacts an
 active server.  When the subscription expires (current epoch > t), the
-client renews with the subscription service.  Clients also maintain a
-loosely synchronized clock: each service interaction resyncs; a client
-idle too long resynchronizes with the subscription service.
+client renews with the subscription service.  Clients keep a loosely
+synchronized clock: a bounded offset from true time (|offset| <= delta
+by assumption) that the pool's guard bands absorb.  The resynchronization
+that keeps the offset bounded is not modeled.
 """
 
 from __future__ import annotations
@@ -79,10 +80,6 @@ class SubscriptionService:
         """Replace an expired key (client contacted the service again)."""
         fresh = self.subscribe(now, trust_level)
         sub.roaming_key = fresh.roaming_key
-
-    def resync_clock(self) -> float:
-        """Authoritative time offset (0: the service's clock is truth)."""
-        return 0.0
 
 
 class ClientSubscription:

@@ -5,8 +5,8 @@ The measurement layer under every experiment: a labeled
 a causal :class:`Journal` that records the defense lifecycle as one
 event tree per honeypot session (the text gantt of
 :func:`render_timeline` is derived from it), an :class:`EngineProfiler`
-for simulator self-profiling, and exporters (JSON / CSV / Prometheus
-text) so every run can leave a machine-readable artifact.
+for simulator self-profiling, and exporters (JSON / Prometheus text)
+so every run can leave a machine-readable artifact.
 
 :class:`Telemetry` bundles the four and is what scenarios, defenses,
 and benchmarks thread through the stack; components treat a ``None``
@@ -37,8 +37,6 @@ from .export import (
     parse_exposition,
     registry_to_openmetrics,
     registry_to_prometheus,
-    series_to_csv,
-    write_csv,
     write_json,
     write_textfile_atomic,
 )
@@ -140,14 +138,12 @@ __all__ = [
     "render_tree",
     "replay_summary",
     "resolve_stream_interval",
-    "series_to_csv",
     "stream_path_for",
     "tail_record",
     "validate_stream",
     "validate_trace",
     "watch_follow",
     "watch_once",
-    "write_csv",
     "write_json",
     "write_textfile_atomic",
     "write_trace",

@@ -1,11 +1,11 @@
-"""Exporters: JSON artifacts, CSV series, Prometheus text format.
+"""Exporters: JSON artifacts, Prometheus text format.
 
 Every benchmark and CLI run can emit a machine-readable artifact next
 to (or instead of) its human-readable text — the piece the perf
 trajectory needs to stop being invisible.  JSON is the canonical form
 and round-trips exactly (:func:`load_json` + ``MetricsRegistry.from_dict``
-reproduce the same values); CSV covers time series for spreadsheets;
-the Prometheus text format makes a run scrapeable by standard tooling.
+reproduce the same values); the Prometheus text format makes a run
+scrapeable by standard tooling.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ __all__ = [
     "json_default",
     "write_json",
     "load_json",
-    "series_to_csv",
-    "write_csv",
     "registry_to_prometheus",
     "registry_to_openmetrics",
     "parse_exposition",
@@ -69,37 +67,6 @@ def write_json(path: Union[str, os.PathLike], payload: Dict[str, Any]) -> str:
 def load_json(path: Union[str, os.PathLike]) -> Dict[str, Any]:
     with open(os.fspath(path), "r", encoding="utf-8") as fh:
         return json.load(fh)
-
-
-def series_to_csv(
-    columns: Dict[str, Sequence[Any]], header: Optional[List[str]] = None
-) -> str:
-    """Column dict -> CSV text (columns zipped row-wise, short ones
-    padded with empty cells)."""
-    names = header if header is not None else list(columns)
-    n = max((len(columns[c]) for c in names), default=0)
-    lines = [",".join(names)]
-    for i in range(n):
-        row = []
-        for c in names:
-            col = columns[c]
-            row.append(str(col[i]) if i < len(col) else "")
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
-
-
-def write_csv(
-    path: Union[str, os.PathLike],
-    columns: Dict[str, Sequence[Any]],
-    header: Optional[List[str]] = None,
-) -> str:
-    path = os.fspath(path)
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(series_to_csv(columns, header))
-    return path
 
 
 def _prom_name(name: str) -> str:

@@ -10,9 +10,8 @@ Design constraints (from the simulator's hot path):
 * Instruments are plain ``__slots__`` objects whose update methods do a
   dict-free increment; acquiring an instrument (``registry.counter``)
   is the only dict lookup and is done once, outside the loop.
-* A *disabled* registry hands out shared null instruments whose update
-  methods are no-ops, so the cost of a metric in disabled code is one
-  attribute call on a singleton — and the truly hot paths (link
+* Metrics are off when no telemetry or registry is passed: the code
+  holds ``None`` and skips the update.  The truly hot paths (link
   transmit, router forward) are never instrumented per-packet at all:
   they are snapshotted from the simulation objects' own counters after
   the run (:meth:`repro.obs.telemetry.Telemetry.snapshot_network`).
@@ -122,38 +121,6 @@ class Histogram:
         return float("inf")
 
 
-class _NullCounter(Counter):
-    __slots__ = ()
-
-    def inc(self, amount: float = 1) -> None:
-        return None
-
-
-class _NullGauge(Gauge):
-    __slots__ = ()
-
-    def set(self, value: float) -> None:
-        return None
-
-    def inc(self, amount: float = 1) -> None:
-        return None
-
-    def dec(self, amount: float = 1) -> None:
-        return None
-
-
-class _NullHistogram(Histogram):
-    __slots__ = ()
-
-    def observe(self, value: float) -> None:
-        return None
-
-
-_NULL_COUNTER = _NullCounter()
-_NULL_GAUGE = _NullGauge()
-_NULL_HISTOGRAM = _NullHistogram()
-
-
 def _label_items(labels: Dict[str, Any]) -> LabelItems:
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
@@ -167,8 +134,7 @@ class MetricsRegistry:
     3
     """
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._counters: Dict[Tuple[str, LabelItems], Counter] = {}
         self._gauges: Dict[Tuple[str, LabelItems], Gauge] = {}
         self._histograms: Dict[Tuple[str, LabelItems], Histogram] = {}
@@ -177,8 +143,6 @@ class MetricsRegistry:
     # Instrument acquisition
     # ------------------------------------------------------------------
     def counter(self, name: str, **labels: Any) -> Counter:
-        if not self.enabled:
-            return _NULL_COUNTER
         key = (name, _label_items(labels))
         c = self._counters.get(key)
         if c is None:
@@ -186,8 +150,6 @@ class MetricsRegistry:
         return c
 
     def gauge(self, name: str, **labels: Any) -> Gauge:
-        if not self.enabled:
-            return _NULL_GAUGE
         key = (name, _label_items(labels))
         g = self._gauges.get(key)
         if g is None:
@@ -200,8 +162,6 @@ class MetricsRegistry:
         buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
         **labels: Any,
     ) -> Histogram:
-        if not self.enabled:
-            return _NULL_HISTOGRAM
         key = (name, _label_items(labels))
         h = self._histograms.get(key)
         if h is None:
@@ -294,7 +254,6 @@ class MetricsRegistry:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"MetricsRegistry(enabled={self.enabled}, "
-            f"counters={len(self._counters)}, gauges={len(self._gauges)}, "
-            f"histograms={len(self._histograms)})"
+            f"MetricsRegistry(counters={len(self._counters)}, "
+            f"gauges={len(self._gauges)}, histograms={len(self._histograms)})"
         )

@@ -19,10 +19,12 @@ failure in its :class:`PoolReport` and keeps draining the queue.
 Callers map ``report.ok`` to an exit code (the CLI uses
 :data:`PARTIAL_FAILURE_EXIT`).
 
-At ``jobs=1`` the same retry, quarantine, checkpoint and status code
-runs the tasks in-process, one after another, and a failed attempt is
-described by the same error text, so a report reads the same at
-every job count.
+At ``jobs=1`` without a timeout the same retry, quarantine,
+checkpoint and status code runs the tasks in-process, one after
+another, and a failed attempt is described by the same error text, so
+a report reads the same at every job count.  An in-process task cannot
+be preempted, so a ``jobs=1`` run with a timeout goes to one
+supervised worker instead.
 
 Determinism: task functions derive all randomness from their payload
 (each task's params carry its seed), so results do not depend on which
@@ -44,6 +46,7 @@ from multiprocessing.connection import wait as _conn_wait
 from multiprocessing.context import BaseContext
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
+from ..obs.export import write_textfile_atomic
 from .tasks import STATUS_OK, STATUS_QUARANTINED, Task, TaskOutcome
 
 __all__ = [
@@ -76,8 +79,9 @@ class _PoolStatusWriter:
     progress counts, and the tail snapshot of every per-task telemetry
     stream in the directory — the supervisor-merged pool-level view
     that ``repro watch DIR`` renders.  Rewrites are atomic
-    (temp + rename) and throttled; write failures are swallowed so a
-    full disk can never take the sweep down.
+    (:func:`~repro.obs.export.write_textfile_atomic`) and throttled;
+    write failures are swallowed so a full disk can never take the
+    sweep down.
     """
 
     def __init__(self, directory: str, jobs: int, total: int) -> None:
@@ -141,17 +145,12 @@ class _PoolStatusWriter:
             "streams": self._stream_tails(),
         }
         path = os.path.join(self.directory, "pool.status.json")
-        tmp = f"{path}.tmp.{os.getpid()}"
         try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            os.replace(tmp, path)
+            write_textfile_atomic(
+                path, json.dumps(doc, indent=2, sort_keys=True) + "\n"
+            )
         except OSError:  # pragma: no cover - disk full etc.
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+            pass
 
 
 def resolve_jobs(jobs: Optional[int] = None, env: str = JOBS_ENV) -> int:
@@ -174,8 +173,9 @@ class PoolConfig:
 
     ``jobs=1`` runs the tasks in-process with no multiprocessing
     overhead; ``jobs > 1`` fans them out over that many worker
-    processes.  An in-process task cannot be preempted, so ``timeout``
-    only applies to worker processes.
+    processes.  An in-process task cannot be preempted, so a ``jobs=1``
+    run with a ``timeout`` uses one supervised worker process, which is
+    killed when a task overruns it.
     """
 
     jobs: int = 1
@@ -192,7 +192,7 @@ class PoolConfig:
             raise ValueError(f"jobs must be >= 1 (got {self.jobs})")
         if self.max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1 (got {self.max_attempts})")
-        if self.timeout is not None and self.timeout <= 0:
+        if self.timeout is not None and not self.timeout > 0:
             raise ValueError(f"timeout must be positive (got {self.timeout})")
 
 
@@ -258,8 +258,8 @@ def run_tasks(
 ) -> PoolReport:
     """Run ``tasks`` to completion; never raises on task failure.
 
-    ``config.jobs == 1`` runs them in-process, in task order; more jobs
-    run them on supervised worker processes.
+    ``config.jobs == 1`` without a timeout runs them in-process, in
+    task order; otherwise they run on supervised worker processes.
 
     ``checkpoint`` (a :class:`~repro.parallel.checkpoint.SweepCheckpoint`)
     short-circuits tasks it already holds and records each fresh "ok"
@@ -308,7 +308,7 @@ def run_tasks(
             on_outcome(outcome)
 
     if pending:
-        if config.jobs == 1:
+        if config.jobs == 1 and config.timeout is None:
             _run_inline(pending, config, record, status)
         else:
             _run_pool(pending, config, record, status)
@@ -318,7 +318,7 @@ def run_tasks(
 
 
 # ----------------------------------------------------------------------
-# Inline execution (jobs == 1; no subprocess machinery)
+# Inline execution (jobs == 1, no timeout; no subprocess machinery)
 # ----------------------------------------------------------------------
 def _run_inline(
     pending: deque,

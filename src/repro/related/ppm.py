@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 import numpy as np
@@ -117,23 +117,6 @@ class PPMVictim:
             for start, end in self.edges_by_distance[distance]:
                 g.add_edge(end, start, distance=distance)
         return g
-
-    def paths_to_sources(self, victim_router: int) -> List[List[int]]:
-        """Candidate attack paths: walks from the victim-side router."""
-        g = self.reconstruct()
-        if victim_router not in g:
-            return []
-        paths = []
-        for node in g.nodes:
-            if node == victim_router:
-                continue
-            if g.out_degree(node) == 0 or True:
-                try:
-                    path = nx.shortest_path(g, victim_router, node)
-                except nx.NetworkXNoPath:
-                    continue
-                paths.append(path)
-        return paths
 
 
 def expected_packets_for_path(d: int, q: float) -> float:

@@ -3,13 +3,12 @@
 The paper evaluates honeypot back-propagation with ns-2; this package
 provides the subset of ns-2 the paper's experiments use, built from
 scratch: an event scheduler, duplex links with bandwidth/propagation
-delay and drop-tail queues, store-and-forward routers with input
-debugging, static shortest-path routing, CBR traffic (in
+delay and drop-tail queues, store-and-forward routers with defense
+ingress hooks, static shortest-path routing, CBR traffic (in
 :mod:`repro.traffic`), and throughput monitors.
 """
 
 from .engine import Event, SimulationError, Simulator, Timer
-from .flowstats import FlowRecord, FlowStats
 from .link import Channel, Link
 from .monitor import FlowCounter, ThroughputMonitor, mean_over_window
 from .network import Network
@@ -26,8 +25,6 @@ __all__ = [
     "DropTailQueue",
     "Event",
     "FlowCounter",
-    "FlowRecord",
-    "FlowStats",
     "Host",
     "Link",
     "Network",

@@ -166,11 +166,6 @@ class Channel:
         pkt.hops += 1
         self.dst.receive(pkt, self)
 
-    # ------------------------------------------------------------------
-    @property
-    def utilization_bytes(self) -> int:
-        return self.bytes_sent
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Channel({self.src.name}->{self.dst.name}, "

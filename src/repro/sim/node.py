@@ -1,16 +1,12 @@
 """Nodes: hosts and routers.
 
-Routers implement the two capabilities the paper's defenses need:
-
-* **Hooks** — defenses install ingress hooks (run on every arriving
-  packet, may drop/consume it) and forward hooks (run just before a
-  packet is queued on its outgoing channel).  Pushback's rate limiters
-  and honeypot back-propagation's filters are hooks.
-* **Input debugging** — per-destination observers that record which
-  input port (channel) packets for a given destination arrive on.
-  This is the router feature CenterTrack/Pushback rely on and that
-  intra-AS honeypot back-propagation uses to walk upstream
-  (Section 5.2).
+Routers provide the one capability the paper's defenses need: ingress
+hooks, run on every arriving packet with the input port (channel) it
+arrived on; a hook may drop or consume the packet.  Pushback's rate
+limiters and honeypot back-propagation's port filters are hooks, and
+each defense does its own input debugging (Section 5.2) in its hooks:
+honeypot back-propagation records the input ports of honeypot traffic
+to walk upstream, and Pushback counts per-input demand.
 
 Control-plane messages between nodes travel as CONTROL packets through
 the same links as data (they share queues and can be lost), which
@@ -149,33 +145,17 @@ class Host(Node):
 
 
 class Router(Node):
-    """Store-and-forward router with defense hooks and input debugging."""
+    """Store-and-forward router with defense ingress hooks.
+
+    Defenses do their own input debugging in the hooks they install.
+    """
 
     def __init__(self, sim: Simulator, node_id: int, name: Optional[str] = None) -> None:
         super().__init__(sim, node_id, name)
         self.ingress_hooks: List[IngressHook] = []
-        # Input debugging: dst addr -> {in_channel: packet count}.
-        self._debug_sessions: Dict[int, Dict[Optional[Channel], int]] = {}
         self.packets_forwarded = 0
         self.packets_filtered = 0
         self.no_route_drops = 0
-
-    # ------------------------------------------------------------------
-    # Input debugging (Section 5.2 / CenterTrack-style)
-    # ------------------------------------------------------------------
-    def start_input_debugging(self, dst: int) -> None:
-        """Begin recording input ports of traffic destined for ``dst``."""
-        self._debug_sessions.setdefault(dst, {})
-
-    def stop_input_debugging(self, dst: int) -> None:
-        self._debug_sessions.pop(dst, None)
-
-    def debugged_inputs(self, dst: int) -> Dict[Optional[Channel], int]:
-        """Input-port packet counts recorded for ``dst`` so far."""
-        return dict(self._debug_sessions.get(dst, {}))
-
-    def is_debugging(self, dst: int) -> bool:
-        return dst in self._debug_sessions
 
     # ------------------------------------------------------------------
     def add_ingress_hook(self, hook: IngressHook) -> None:
@@ -195,12 +175,6 @@ class Router(Node):
             if pkt.kind == PacketKind.CONTROL:
                 self._dispatch_control(pkt, in_channel)
             return
-        # Input debugging observers.
-        sessions = self._debug_sessions
-        if sessions:
-            counts = sessions.get(pkt.dst)
-            if counts is not None:
-                counts[in_channel] = counts.get(in_channel, 0) + 1
         # Defense hooks (filters / rate limiters).
         if self.ingress_hooks:
             for hook in self.ingress_hooks:

@@ -1,7 +1,6 @@
 """Topology generators: validation strings, Fig. 7 trees, AS graphs."""
 
 from .aslevel import ASTopology, build_as_topology
-from .io import graph_from_dict, graph_to_dict, load_tree, save_tree
 from .distributions import (
     EmpiricalDistribution,
     PAPER_HOP_COUNT_DIST,
@@ -22,8 +21,4 @@ __all__ = [
     "build_as_topology",
     "build_string_topology",
     "build_tree_topology",
-    "graph_from_dict",
-    "graph_to_dict",
-    "load_tree",
-    "save_tree",
 ]

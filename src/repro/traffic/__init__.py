@@ -27,13 +27,6 @@ from .policies import (
     make_policy,
     resolve_policy,
 )
-from .session import (
-    CheckpointMsg,
-    MigratingClientApp,
-    ResumeMsg,
-    SessionData,
-    SessionServerApp,
-)
 from .sources import CBRSource, OnOffSource
 
 __all__ = [
@@ -43,7 +36,6 @@ __all__ = [
     "AwareAttackHost",
     "BotEnv",
     "CBRSource",
-    "CheckpointMsg",
     "ChurnAttackHost",
     "ChurnPolicy",
     "ContinuousPolicy",
@@ -51,7 +43,6 @@ __all__ = [
     "FollowerAttackHost",
     "FollowerPolicy",
     "HoneypotAwarePolicy",
-    "MigratingClientApp",
     "NULL_PROBES",
     "OnOffSource",
     "POLICY_NAMES",
@@ -59,11 +50,8 @@ __all__ = [
     "ProbingPolicy",
     "ReflectionAttackHost",
     "ReflectionPolicy",
-    "ResumeMsg",
     "RoamingClientApp",
     "SPOOF_BASE",
-    "SessionData",
-    "SessionServerApp",
     "StaticClientApp",
     "make_policy",
     "make_spoofer",

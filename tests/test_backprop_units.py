@@ -106,19 +106,6 @@ class TestHSM:
         sess = hsm.accept_request(HoneypotRequest(99, 1, 1), from_as=None, now=0.0)
         assert sess is not None
 
-    def test_cancel_returns_upstreams(self):
-        a, b, ring = self.make_pair()
-        msg = a.make_request_for(99, 1, 2)
-        sess = b.accept_request(msg, 1, 0.0)
-        sess.mark_propagated(7)
-        cancel = a.make_cancel_for(99, 1, 2)
-        assert b.accept_cancel(cancel, 1, 1.0) == [7]
-
-    def test_cancel_for_unknown_session(self):
-        a, b, ring = self.make_pair()
-        cancel = a.make_cancel_for(99, 1, 2)
-        assert b.accept_cancel(cancel, 1, 0.0) is None
-
     def test_stale_epoch_replaced(self):
         a, b, ring = self.make_pair()
         b.accept_request(a.make_request_for(99, 1, 2), 1, 0.0)

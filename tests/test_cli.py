@@ -141,6 +141,21 @@ class TestJobsAndSweepParsing:
         assert main(argv) == 0
         assert "[resumed]" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "option",
+        [["--timeout", "0"], ["--timeout", "nan"], ["--max-attempts", "0"]],
+        ids=["timeout=0", "timeout=nan", "max-attempts=0"],
+    )
+    def test_sweep_bad_pool_option_is_a_usage_error(self, option):
+        # A string SystemExit prints "error: ..." and no traceback.
+        argv = [
+            "sweep", "--field", "n_attackers", "--values", "1",
+            "--scale", "quick", "--defense", "none", *option,
+        ]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert str(exc.value.code).startswith("error: ")
+
 
 class TestKindsCommand:
     def test_kinds_lists_the_vocabulary(self, capsys):

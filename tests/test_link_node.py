@@ -169,27 +169,6 @@ class TestRouter:
         sim.run()
         assert len(seen) == 1
 
-    def test_input_debugging_records_ports(self):
-        sim, h1, r, h2 = self.build_chain()
-        r.start_input_debugging(2)
-        h1.originate(Packet(0, 2, 100))
-        h1.originate(Packet(0, 2, 100))
-        sim.run()
-        inputs = r.debugged_inputs(2)
-        assert len(inputs) == 1
-        (channel, count), = inputs.items()
-        assert channel.src is h1
-        assert count == 2
-
-    def test_input_debugging_stop(self):
-        sim, h1, r, h2 = self.build_chain()
-        r.start_input_debugging(2)
-        r.stop_input_debugging(2)
-        assert not r.is_debugging(2)
-        h1.originate(Packet(0, 2, 100))
-        sim.run()
-        assert r.debugged_inputs(2) == {}
-
     def test_no_route_drop_counted(self):
         sim, h1, r, h2 = self.build_chain()
         h1.originate(Packet(0, 77, 100))  # unroutable at r (multi-homed)

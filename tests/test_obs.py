@@ -15,7 +15,6 @@ from repro.obs import (
     build_tree,
     load_json,
     registry_to_prometheus,
-    series_to_csv,
     write_json,
 )
 from repro.sim.engine import Simulator
@@ -71,17 +70,6 @@ class TestRegistry:
             Histogram(buckets=(2.0, 1.0))
         with pytest.raises(ValueError):
             Histogram(buckets=())
-
-    def test_disabled_registry_is_inert(self):
-        reg = MetricsRegistry(enabled=False)
-        reg.counter("c").inc(10)
-        reg.gauge("g").set(5)
-        reg.histogram("h").observe(1.0)
-        assert len(reg) == 0
-        assert reg.value("c") == 0
-        assert reg.as_dict() == {"counters": [], "gauges": [], "histograms": []}
-        # The null instruments are shared singletons.
-        assert reg.counter("a") is reg.counter("b")
 
     def test_values_and_names(self):
         reg = MetricsRegistry()
@@ -173,10 +161,6 @@ class TestExport:
         path = write_json(tmp_path / "x.json", {"a": np.float64(1.5), "b": {3, 1}})
         data = load_json(path)
         assert data == {"a": 1.5, "b": [1, 3]}
-
-    def test_series_to_csv_pads_short_columns(self):
-        text = series_to_csv({"t": [1, 2, 3], "v": [10]})
-        assert text.splitlines() == ["t,v", "1,10", "2,", "3,"]
 
     def test_prometheus_text(self):
         reg = MetricsRegistry()

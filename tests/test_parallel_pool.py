@@ -147,14 +147,18 @@ class TestPoolExecution:
             assert report.value(f"ok{i}") == i * i
         assert not report.ok and report.exit_code == PARTIAL_FAILURE_EXIT
 
-    def test_timeout_kills_and_quarantines(self):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_timeout_kills_and_quarantines(self, jobs):
+        # A timeout holds at jobs=1 too: the tasks then run on one
+        # supervised worker, since an in-process task cannot be preempted.
+        hang_s = 5.0
         start = time.perf_counter()
-        tasks = [Task("hang", _sleep_for, 60.0)] + [
+        tasks = [Task("hang", _sleep_for, hang_s)] + [
             Task(f"ok{i}", _square, i) for i in range(3)
         ]
         report = run_tasks(
             tasks,
-            PoolConfig(jobs=2, timeout=0.4, max_attempts=2),
+            PoolConfig(jobs=jobs, timeout=0.4, max_attempts=2),
         )
         wall = time.perf_counter() - start
         assert report.quarantined == ["hang"]
@@ -162,8 +166,8 @@ class TestPoolExecution:
         assert report.outcomes["hang"].attempts == 2
         for i in range(3):
             assert report.value(f"ok{i}") == i * i
-        # Two 0.4 s attempts plus supervision slack — nowhere near 60 s.
-        assert wall < 20.0
+        # Two 0.4 s attempts plus supervision slack — less than one hang.
+        assert wall < hang_s
 
     def test_hard_exit_worker_detected(self):
         tasks = [Task("dead", _hard_exit, 13)] + [
@@ -194,6 +198,10 @@ class TestPoolExecution:
             PoolConfig(max_attempts=0)
         with pytest.raises(ValueError):
             PoolConfig(timeout=-1.0)
+        # NaN fails every comparison, so it must not pass as positive:
+        # a NaN deadline would never fire.
+        with pytest.raises(ValueError):
+            PoolConfig(timeout=float("nan"))
 
 
 class TestCheckpoint:

@@ -246,56 +246,3 @@ def test_property_tree_always_valid(n_leaves, seed):
     assert len(topo.leaf_ids) == n_leaves
     for leaf in topo.leaf_ids:
         assert topo.graph.degree(leaf) == 1
-
-
-class TestTopologyIO:
-    def test_tree_roundtrip(self, tmp_path):
-        import networkx as nx_
-
-        from repro.topology.io import load_tree, save_tree
-
-        topo = build_tree_topology(
-            TreeParams(n_leaves=30), np.random.default_rng(3)
-        )
-        path = tmp_path / "tree.json"
-        save_tree(topo, path)
-        loaded = load_tree(path)
-        assert nx_.utils.graphs_equal(topo.graph, loaded.graph)
-        assert loaded.server_ids == topo.server_ids
-        assert loaded.leaf_depth == topo.leaf_depth
-        assert loaded.params == topo.params
-
-    def test_loaded_tree_runs_identically(self, tmp_path):
-        from repro.sim.network import Network
-        from repro.topology.io import load_tree, save_tree
-
-        topo = build_tree_topology(
-            TreeParams(n_leaves=20), np.random.default_rng(4)
-        )
-        path = tmp_path / "t.json"
-        save_tree(topo, path)
-        loaded = load_tree(path)
-        net = Network.from_graph(loaded.graph)
-        net.build_routes(targets=loaded.server_ids)
-        assert len(net.nodes) == topo.graph.number_of_nodes()
-
-    def test_bad_file_rejected(self, tmp_path):
-        import json as json_
-
-        from repro.topology.io import load_tree
-
-        path = tmp_path / "bad.json"
-        path.write_text(json_.dumps({"kind": "mesh", "format": 1}))
-        with pytest.raises(ValueError):
-            load_tree(path)
-        path.write_text(json_.dumps({"kind": "tree", "format": 99}))
-        with pytest.raises(ValueError):
-            load_tree(path)
-
-    def test_graph_dict_roundtrip(self):
-        from repro.topology.io import graph_from_dict, graph_to_dict
-
-        topo = build_string_topology(3)
-        d = graph_to_dict(topo.graph)
-        g2 = graph_from_dict(d)
-        assert nx.utils.graphs_equal(topo.graph, g2)
