@@ -2,9 +2,9 @@
 
 Dimensional attribution in the engine's dispatch loop
 (``Simulator.run`` with ``EngineProfiler.enable_dimensions``) promises
-two things: it is cheap (one ``perf_counter`` pair plus one charge call
+two things: it is cheap (one ``perf_counter`` read plus one charge call
 — a dict upsert, with the ``(kind, module)`` key memoized per function —
-per event), and it is inert (the causal journal is byte-identical with
+per event, in the loop's observer slot), and it is inert (the causal journal is byte-identical with
 attribution on or off, because the accumulator only observes callback
 timing and never touches simulation state).  This bench measures the
 first promise and asserts the second.

@@ -3,11 +3,12 @@
 The in-run streamer (``repro.obs.stream``) promises two things: it is
 cheap, and it is inert (the causal journal is byte-identical with
 streaming on or off, because the streamer only reads).  Both arms run
-the engine's one dispatch loop.  The streamed arm adds, per event, an
-integer AND for the pulse stride and the profiler's pending-count
-compare (a stream brings a telemetry hub with it), plus a float compare
-per stride, with snapshot I/O amortized over thousands of events.  This
-bench measures the first promise and asserts the second.
+the engine's one dispatch loop and pay its one observer test per
+event.  The streamed arm adds no per-event work: every 1024 events the
+observer slot samples the pending high-water mark and pulses the
+stream (a float compare), with snapshot I/O amortized over thousands
+of events.  This bench measures the first promise and asserts the
+second.
 
 Expected shape: wall-clock overhead of an armed streamer stays under
 the documented 2% budget (gated via ``baseline.json``:

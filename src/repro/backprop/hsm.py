@@ -44,10 +44,7 @@ HSM_PRIVATE_ADDR_BASE = 2_000_000_000
 class HSMState:
     """Bookkeeping counters of one HSM."""
 
-    requests_received: int = 0
-    requests_relayed: int = 0
     forged_rejected: int = 0
-    diversions_installed: int = 0
 
 
 class HSM:
@@ -81,16 +78,14 @@ class HSM:
             ):
                 self.state.forged_rejected += 1
                 return None
-        self.state.requests_received += 1
         sess = self.sessions.get(msg.honeypot_addr)
         if sess is None or sess.epoch != msg.epoch:
+            # A new session diverts ingress traffic for the honeypot into
+            # the HSM (iBGP next-hop announcement to the edge routers).
             sess = HoneypotSession(
                 honeypot_addr=msg.honeypot_addr, epoch=msg.epoch, created_at=now
             )
             self.sessions[msg.honeypot_addr] = sess
-            # Divert ingress traffic for the honeypot into the HSM
-            # (iBGP next-hop announcement to the edge routers).
-            self.state.diversions_installed += 1
         if from_as is not None:
             self.downstream_of[msg.honeypot_addr] = from_as
         return sess
@@ -99,7 +94,6 @@ class HSM:
         """Build a signed request for the upstream neighbor ``to_as``."""
         auth = self.keyring.establish(self.asn, to_as)
         msg = HoneypotRequest(honeypot_addr, epoch, origin_as=self.asn)
-        self.state.requests_relayed += 1
         return sign_inter_as(msg, auth)
 
     # ------------------------------------------------------------------

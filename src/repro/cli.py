@@ -282,9 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SIM_SECONDS",
-        help="snapshot interval in simulated seconds (default: "
-        "$REPRO_STREAM, else 5); a 2 s wall-clock cap bounds the gap "
-        "when sim time crawls",
+        help="snapshot interval in simulated seconds (default: 5); "
+        "a 2 s wall-clock cap bounds the gap when sim time crawls",
     )
 
     pf = sub.add_parser(
@@ -598,14 +597,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             replace(_scenario_base(args.scale), defense=args.defense),
             args,
         )
+        interval = _stream_interval(args)
         stream = None
         if args.stream_out:
-            from .obs.stream import StreamConfig, resolve_stream_interval
+            from .obs.stream import StreamConfig
 
-            stream = StreamConfig(
-                path=args.stream_out,
-                interval=resolve_stream_interval(args.stream_interval),
-            )
+            stream = StreamConfig(path=args.stream_out, interval=interval)
         result = run_tree_scenario(params, telemetry=telemetry, stream=stream)
         # Write the artifacts before printing: stdout may be a closed
         # pipe (`... | head`), and the artifacts must survive that.
@@ -626,17 +623,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except BrokenPipeError:
             pass
         return 0
+    jobs = _resolve_jobs(args)
+    stream = _stream_spec(args)
     telemetry = None
     if getattr(args, "metrics_out", None) or getattr(args, "journal_out", None):
         from .obs import Telemetry
 
         telemetry = Telemetry()
     text = figure(
-        args.command,
-        args.scale,
-        telemetry=telemetry,
-        jobs=getattr(args, "jobs", None),
-        stream=_stream_spec(args),
+        args.command, args.scale, telemetry=telemetry, jobs=jobs, stream=stream
     )
     path = (
         telemetry.write(args.metrics_out)
@@ -671,8 +666,8 @@ def _add_policy_args(p: argparse.ArgumentParser) -> None:
         choices=POLICY_NAMES,
         default=None,
         help="attacker policy of the base scenario (default: "
-        "$REPRO_POLICY, else continuous); 'reflection' bounces spoofed "
-        "triggers off amplifier leaves",
+        "continuous); 'reflection' bounces spoofed triggers off "
+        "amplifier leaves",
     )
     p.add_argument(
         "--amplifiers",
@@ -686,13 +681,10 @@ def _add_policy_args(p: argparse.ArgumentParser) -> None:
 
 
 def _apply_policy_args(base, args):
-    """Fold ``--policy``/``--amplifiers`` (or ``$REPRO_POLICY``) into
-    the base scenario params."""
+    """Fold ``--policy``/``--amplifiers`` into the base scenario params."""
     from dataclasses import replace
 
-    from .traffic.policies import resolve_policy
-
-    name = resolve_policy(getattr(args, "policy", None))
+    name = getattr(args, "policy", None) or "continuous"
     n_amp = getattr(args, "amplifiers", None)
     if n_amp is None and name == "reflection":
         n_amp = max(2, base.n_attackers // 5)
@@ -717,23 +709,44 @@ def _add_stream_dir_args(p: argparse.ArgumentParser) -> None:
         type=float,
         default=None,
         metavar="SIM_SECONDS",
-        help="snapshot interval in simulated seconds (default: "
-        "$REPRO_STREAM, else 5); a 2 s wall-clock cap bounds the gap "
-        "when sim time crawls",
+        help="snapshot interval in simulated seconds (default: 5); "
+        "a 2 s wall-clock cap bounds the gap when sim time crawls",
     )
+
+
+def _stream_interval(args) -> float:
+    """``--stream-interval`` (default 5 sim-seconds), checked by
+    :class:`~repro.obs.stream.StreamConfig` before any scenario runs:
+    a bad value would otherwise fail in every task."""
+    from .obs.stream import DEFAULT_INTERVAL, StreamConfig, StreamError
+
+    interval = args.stream_interval
+    if interval is None:
+        return DEFAULT_INTERVAL
+    try:
+        StreamConfig(path="", interval=interval)
+    except StreamError as exc:
+        raise SystemExit(f"error: --stream-interval: {exc}") from None
+    return interval
 
 
 def _stream_spec(args) -> Optional[dict]:
     """The ``{"dir", "interval"}`` stream spec from ``--stream-dir``."""
-    stream_dir = getattr(args, "stream_dir", None)
-    if not stream_dir:
+    interval = _stream_interval(args)
+    if not args.stream_dir:
         return None
-    from .obs.stream import resolve_stream_interval
+    return {"dir": args.stream_dir, "interval": interval}
 
-    return {
-        "dir": stream_dir,
-        "interval": resolve_stream_interval(getattr(args, "stream_interval", None)),
-    }
+
+def _resolve_jobs(args) -> int:
+    """``--jobs``, else ``$REPRO_JOBS``, else 1; a malformed
+    ``$REPRO_JOBS`` is a usage error, not a traceback."""
+    from .parallel import resolve_jobs
+
+    try:
+        return resolve_jobs(args.jobs)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}") from None
 
 
 def _parse_sweep_values(base, field: str, raw: str) -> list:
@@ -771,6 +784,7 @@ def _run_sweep_command(args) -> int:
     )
     values = _parse_sweep_values(base, args.field, args.values)
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    stream = _stream_spec(args)
     try:
         config = PoolConfig(
             jobs=resolve_jobs(args.jobs),
@@ -803,7 +817,7 @@ def _run_sweep_command(args) -> int:
         checkpoint=checkpoint,
         on_outcome=progress,
         telemetry=telemetry,
-        stream=_stream_spec(args),
+        stream=stream,
         profile=args.profile,
     )
     path = write_json(args.out, run.artifact()) if args.out else None

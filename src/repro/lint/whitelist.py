@@ -54,11 +54,11 @@ WHITELIST: Dict[str, Dict[str, str]] = {
     },
     "repro/obs/stream.py": {
         "RPL002": (
-            "the streamer's wall-clock flush cap (time.monotonic at "
-            "stride granularity) decides only *when* a snapshot is "
-            "written, never what the simulation computes; the journal "
-            "byte-identity test (streaming on vs off) enforces that "
-            "the clock cannot leak into results"
+            "the streamer's wall-clock flush cap (time.monotonic, read "
+            "once per engine observer stride) decides only *when* a "
+            "snapshot is written, never what the simulation computes; "
+            "the journal byte-identity test (streaming on vs off) "
+            "enforces that the clock cannot leak into results"
         ),
     },
     "repro/parallel/": {

@@ -74,7 +74,6 @@ from .stream import (
     StreamError,
     TelemetryStreamer,
     read_stream,
-    resolve_stream_interval,
     stream_path_for,
     tail_record,
     validate_stream,
@@ -137,7 +136,6 @@ __all__ = [
     "render_timeline",
     "render_tree",
     "replay_summary",
-    "resolve_stream_interval",
     "stream_path_for",
     "tail_record",
     "validate_stream",

@@ -4,22 +4,29 @@ The full-scale paper scenarios push tens of millions of events; before
 any scaling work can be trusted we need to know where simulated time
 goes in wall-clock terms.  An :class:`EngineProfiler` attaches to a
 :class:`~repro.sim.engine.Simulator`; the engine's one dispatch loop
-then brackets each ``run()`` with a wall clock and tracks the pending
-high-water mark (a simulator without a profiler reads no clock).
+then brackets each ``run()`` with a wall clock and visits its observer
+slot once every :data:`~repro.sim.engine.OBSERVE_STRIDE` dispatches (a
+simulator without a profiler reads no clock).
 
 Tracked per simulator, accumulated across ``run()`` calls:
 
 * events processed and wall-clock seconds -> events/sec;
 * event-heap high-water mark (live pending events; lazily cancelled
-  entries still occupying the heap are excluded);
+  entries still occupying the heap are excluded).  It is the largest
+  live count seen at run start, at each observer slot and at run end,
+  so it is a sample: exact with attribution on, which visits the slot
+  after every dispatch, and otherwise possibly a little low.  The slot
+  writes the running mark into :attr:`heap_hwm`, so a live stream
+  reads it mid-run;
 * simulated seconds covered -> wall-time per simulated second.
 
 Dimensional attribution (:meth:`EngineProfiler.enable_dimensions`) adds
-an opt-in second level: per dispatched event the engine brackets the
-callback with a wall-clock timer and charges ``(kind, module)``, where
-*kind* is the callback's qualified name and *module* its defining
-module (``repro.`` prefix trimmed).  The loop only times callbacks
-when dimensions are on, and the charge
+an opt-in second level: the engine then visits its observer slot after
+every dispatch, reads the wall clock once there, and charges the time
+since the previous slot to ``(kind, module)`` of the callback just
+dispatched, where *kind* is the callback's qualified name and *module*
+its defining module (``repro.`` prefix trimmed).  The loop only reads
+the clock per event when dimensions are on, and the charge
 (:meth:`EngineProfiler.charger`) only ever *reads* engine state, so the
 causal journal is byte-identical with attribution on or off.
 """

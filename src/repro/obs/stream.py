@@ -13,11 +13,13 @@ Cadence is a *sim-time* ticker (``interval`` simulated seconds) with a
 *wall-clock* cap (``wall_cap`` real seconds): a run that crawls in sim
 time still emits snapshots, and a run that blazes through sim time is
 not slowed by per-tick I/O.  The engine's dispatch loop calls
-:meth:`TelemetryStreamer.pulse` once every ``check_stride`` dispatched
-events (a power-of-two bitmask test), so the steady-state cost of an
-armed streamer is one integer AND per event plus a float compare per
-stride — the measured overhead is gated under 2% by
-``benchmarks/bench_stream_overhead.py``.
+:meth:`TelemetryStreamer.pulse` from its observer slot once every
+:data:`~repro.sim.engine.OBSERVE_STRIDE` (1024) dispatched events.
+Every run pays the slot's one compare per event, streamed or not,
+so an armed streamer adds no per-event work of its own: a slot visit
+and a float compare every 1024 events, under one bytecode instruction
+per event (``tests/test_engine.py`` counts them).  The wall-clock
+overhead is gated under 2% by ``benchmarks/bench_stream_overhead.py``.
 
 The streaming invariant — **snapshots only read** — is load-bearing:
 the streamer never schedules simulator events, never touches the
@@ -42,12 +44,10 @@ from .export import json_default, registry_to_openmetrics, write_textfile_atomic
 
 __all__ = [
     "STREAM_SCHEMA",
-    "STREAM_ENV",
     "StreamConfig",
     "StreamError",
     "TelemetryStreamer",
     "read_stream",
-    "resolve_stream_interval",
     "stream_path_for",
     "tail_record",
     "validate_stream",
@@ -55,37 +55,12 @@ __all__ = [
 
 STREAM_SCHEMA = "repro.stream/1"
 
-# Environment default for the snapshot interval (sim-seconds); an
-# explicit --stream-interval always wins.
-STREAM_ENV = "REPRO_STREAM"
-
 DEFAULT_INTERVAL = 5.0
 DEFAULT_WALL_CAP = 2.0
-# Events between pulse() calls in the engine loop; must be a power of
-# two (the loop tests `processed & (stride - 1) == 0`).
-DEFAULT_CHECK_STRIDE = 1024
 
 
 class StreamError(ValueError):
     """Raised for malformed stream files or configuration."""
-
-
-def resolve_stream_interval(
-    value: Optional[float] = None, env: str = STREAM_ENV
-) -> float:
-    """Effective snapshot interval: explicit value, else ``$REPRO_STREAM``,
-    else :data:`DEFAULT_INTERVAL` sim-seconds."""
-    if value is not None:
-        return float(value)
-    raw = os.environ.get(env, "").strip()
-    if raw:
-        try:
-            return float(raw)
-        except ValueError:
-            raise StreamError(
-                f"{env} must be a number of sim-seconds (got {raw!r})"
-            ) from None
-    return DEFAULT_INTERVAL
 
 
 def stream_path_for(directory: str, task_id: str) -> str:
@@ -111,7 +86,6 @@ class StreamConfig:
     interval: float = DEFAULT_INTERVAL
     wall_cap: Optional[float] = DEFAULT_WALL_CAP
     openmetrics_path: Optional[str] = None
-    check_stride: int = DEFAULT_CHECK_STRIDE
 
     def __post_init__(self) -> None:
         # Negated tests so NaN fails them too.
@@ -122,11 +96,6 @@ class StreamConfig:
         if self.wall_cap is not None and not 0 < self.wall_cap < math.inf:
             raise StreamError(
                 f"wall_cap must be positive and finite (got {self.wall_cap})"
-            )
-        stride = self.check_stride
-        if stride < 1 or (stride & (stride - 1)) != 0:
-            raise StreamError(
-                f"check_stride must be a power of two (got {stride})"
             )
         if self.openmetrics_path is None:
             self.openmetrics_path = self.path + ".prom"
@@ -143,17 +112,19 @@ class TelemetryStreamer:
         streamer = TelemetryStreamer(telemetry, StreamConfig(path))
         streamer.add_source("defense", defense.stream_sample)
         streamer.attach(sim)        # writes the header line
-        sim.run(...)                # engine pulses at stride boundaries
+        sim.run(...)                # engine pulses every 1024 events
         streamer.close()            # final snapshot + file close
 
     Sources are zero-argument callables returning flat JSON-scalar
     dicts; they are sampled at snapshot time only (never per event).
+    A record's ``heap_hwm`` is the hub profiler's running high-water
+    mark, which the engine's observer slot keeps current, so it never
+    decreases along a stream.
     """
 
     def __init__(self, telemetry: Any, config: StreamConfig) -> None:
         self.telemetry = telemetry
         self.config = config
-        self.check_mask = config.check_stride - 1
         self.sources: Dict[str, Callable[[], Dict[str, Any]]] = {}
         self.snapshots = 0
         # Obs self-cost: wall seconds spent inside _emit (snapshot
@@ -218,7 +189,7 @@ class TelemetryStreamer:
             sim.stream = None
 
     # ------------------------------------------------------------------
-    # Engine hook (called at stride boundaries of the dispatch loop)
+    # Engine hook (called from the dispatch loop's observer slot)
     # ------------------------------------------------------------------
     def pulse(self, sim: Any, events: int) -> None:
         """Snapshot if a sim-time tick passed or the wall cap expired.

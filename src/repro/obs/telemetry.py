@@ -57,8 +57,6 @@ class Telemetry:
         self._closed.clear()
         self.journal.clock = lambda: sim.now
         sim.journal = self.journal
-        # Engine-side counters (e.g. timer_jitter_clamped) land here.
-        sim.metrics = self.registry
         self.profiler.attach(sim)
         return self
 

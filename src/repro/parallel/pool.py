@@ -34,7 +34,6 @@ by task id; merging layers iterate in task-list order.
 
 from __future__ import annotations
 
-import glob
 import json
 import multiprocessing as mp
 import os
@@ -75,13 +74,12 @@ _STATUS_MIN_INTERVAL_S = 0.5
 class _PoolStatusWriter:
     """Maintains the live ``pool.status.json`` of one pool run.
 
-    Schema ``repro.pool-status/1``: worker liveness states, task
-    progress counts, and the tail snapshot of every per-task telemetry
-    stream in the directory — the supervisor-merged pool-level view
-    that ``repro watch DIR`` renders.  Rewrites are atomic
-    (:func:`~repro.obs.export.write_textfile_atomic`) and throttled;
-    write failures are swallowed so a full disk can never take the
-    sweep down.
+    Schema ``repro.pool-status/1``: worker liveness states and task
+    progress counts.  ``repro watch DIR`` renders them above the tails
+    of the per-task telemetry streams, which it reads itself.  Rewrites
+    are atomic (:func:`~repro.obs.export.write_textfile_atomic`) and
+    throttled; write failures are swallowed so a full disk can never
+    take the sweep down.
     """
 
     def __init__(self, directory: str, jobs: int, total: int) -> None:
@@ -98,28 +96,6 @@ class _PoolStatusWriter:
         self.done += 1
         if outcome.status == STATUS_QUARANTINED:
             self.quarantined += 1
-
-    def _stream_tails(self) -> Dict[str, Any]:
-        from ..obs.stream import tail_record  # lazy: obs is optional here
-
-        tails: Dict[str, Any] = {}
-        pattern = os.path.join(self.directory, "*.stream.jsonl")
-        for path in sorted(glob.glob(pattern)):
-            rec = tail_record(path)
-            if rec is None:
-                continue
-            name = os.path.basename(path)[: -len(".stream.jsonl")]
-            engine = rec.get("engine", {})
-            sources = rec.get("sources", {})
-            tails[name] = {
-                "t": rec.get("t"),
-                "seq": rec.get("seq"),
-                "final": bool(rec.get("final")),
-                "events": engine.get("events"),
-                "events_per_sec": engine.get("events_per_sec"),
-                "captures": sources.get("defense", {}).get("captures"),
-            }
-        return tails
 
     def write(
         self,
@@ -142,7 +118,6 @@ class _PoolStatusWriter:
                 "resumed": self.resumed,
             },
             "workers": workers,
-            "streams": self._stream_tails(),
         }
         path = os.path.join(self.directory, "pool.status.json")
         try:
@@ -182,9 +157,9 @@ class PoolConfig:
     timeout: Optional[float] = None
     max_attempts: int = 2
     # Directory for the live pool-level view: the supervisor rewrites
-    # ``pool.status.json`` there (worker liveness + per-task stream
-    # tails) so `repro watch DIR` can follow a running sweep.  None
-    # disables the writer entirely.
+    # ``pool.status.json`` there (worker liveness + task counts) so
+    # `repro watch DIR` can follow a running sweep.  None disables the
+    # writer entirely.
     status_dir: Optional[str] = None
 
     def __post_init__(self) -> None:

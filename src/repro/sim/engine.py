@@ -19,10 +19,13 @@ Two kinds of entry share the heap and the sequence counter:
   allocates no handle and skips the cancellation bookkeeping at
   dispatch, which is why packet hops (:mod:`repro.sim.link`) use it.
 
-:meth:`Simulator.run` is the only dispatch loop.  Each optional
-observer — the engine profiler, its per-event dimensional attribution,
-the live telemetry streamer (all in :mod:`repro.obs`) — sits behind one
-local test in that loop, so a plain run reads no clock and makes no
+:meth:`Simulator.run` is the only dispatch loop.  The optional
+observers — the engine profiler, its per-callback attribution and the
+live telemetry streamer (all in :mod:`repro.obs`) — share one slot in
+that loop, guarded by one test per event: a compare of the dispatch
+index with the next slot index.  With attribution on the slot runs
+after every dispatch, otherwise once every :data:`OBSERVE_STRIDE`
+dispatches, so a run without a profiler reads no clock and makes no
 extra call per event.
 
 The engine is deliberately callback-based (no generator processes): the
@@ -42,7 +45,12 @@ from heapq import heappop, heappush
 from time import perf_counter
 from typing import Any, Callable, List, Optional, Tuple
 
-__all__ = ["Event", "Simulator", "Timer", "SimulationError"]
+__all__ = ["Event", "Simulator", "Timer", "SimulationError", "OBSERVE_STRIDE"]
+
+# Dispatches between two visits of the dispatch loop's observer slot
+# (every dispatch visits it while attribution is on), and so between
+# two stream pulses.
+OBSERVE_STRIDE = 1024
 
 
 class SimulationError(RuntimeError):
@@ -106,7 +114,6 @@ class Simulator:
         self.now: float = 0.0
         self._seq: int = 0
         self._running = False
-        self._stopped = False
         self.events_processed: int = 0
         # Pending (time, seq, fn, args) entries, a heapq heap; for a
         # cancellable entry fn is its Event and args is None.
@@ -114,22 +121,18 @@ class Simulator:
         # Cancelled entries still in the heap; see pending(live=True).
         self._cancelled: int = 0
         # Self-profiling (repro.obs.EngineProfiler.attach sets this):
-        # run() then brackets itself with a wall clock and tracks the
-        # live-pending high-water mark.
+        # run() then brackets itself with a wall clock and samples the
+        # live-pending high-water mark in its observer slot.
         self.profiler: Optional[Any] = None
         # Flight recorder (repro.obs.Telemetry.bind sets this): run()
         # brackets each invocation with sim_run_start/sim_run_end
         # journal events.  None costs a single attribute test per run.
         self.journal: Optional[Any] = None
-        # Metrics registry (repro.obs.Telemetry.bind sets this); used
-        # for low-rate operational counters such as timer_jitter_clamped.
-        self.metrics: Optional[Any] = None
         # Live streamer (repro.obs.stream.TelemetryStreamer.attach sets
-        # this): run() pulses it at stride boundaries.  Snapshots only
-        # read engine state — never schedule events — so the journal is
-        # identical with or without a stream.
+        # this): run() pulses it every OBSERVE_STRIDE dispatches.
+        # Snapshots only read engine state — never schedule events — so
+        # the journal is identical with or without a stream.
         self.stream: Optional[Any] = None
-        self.timer_jitter_clamps: int = 0
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -173,18 +176,15 @@ class Simulator:
         fn: Callable[..., Any],
         *args: Any,
         start: Optional[float] = None,
-        jitter_fn: Optional[Callable[[], float]] = None,
     ) -> "Timer":
         """Run ``fn(*args)`` every ``interval`` seconds until cancelled.
 
         ``start`` is the absolute time of the first firing (defaults to
-        ``now + interval``).  ``jitter_fn``, if given, is called before
-        each firing and its return value is added to the nominal delay —
-        used e.g. to de-synchronize periodic control loops.
+        ``now + interval``).
         """
         if interval <= 0:
             raise SimulationError(f"interval must be positive (got {interval})")
-        timer = Timer(self, interval, fn, args, jitter_fn)
+        timer = Timer(self, interval, fn, args)
         first = (self.now + interval) if start is None else start
         timer._arm(first)
         return timer
@@ -198,12 +198,21 @@ class Simulator:
         Runs until no events are pending, or until the clock would pass
         ``until`` (the clock is then advanced to exactly ``until``).
 
-        An attached profiler gets the run's wall time, event count and
-        live-pending high-water mark; with dimensions enabled each
-        callback is also timed and charged to its ``(kind, module)``
-        cell.  An attached streamer is pulsed once every
-        ``check_stride`` dispatched events.  Both only read engine
-        state, so the dispatch sequence is the same with or without them.
+        Dispatches are counted from 1, and each one is followed by one
+        observer test: the observer slot runs once the dispatch index
+        reaches the next slot index.  With attribution on
+        (``profiler.dims`` set) that index is 0, so the slot runs after
+        every dispatch and charges the wall time since the previous
+        slot to the callback's ``(kind, module)`` cell.  Otherwise it
+        starts at ``OBSERVE_STRIDE`` and each visit advances it by
+        ``OBSERVE_STRIDE``.
+
+        The slot samples the live-pending high-water mark (also at run
+        start and end) into the profiler, and pulses the stream every
+        ``OBSERVE_STRIDE`` dispatches.  An attached profiler also gets
+        the run's wall time and event count.  Observers only read
+        engine state, so the dispatch sequence is the same with or
+        without them.
         """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run())")
@@ -211,41 +220,34 @@ class Simulator:
         if journal is not None:
             before = self.events_processed
             journal.record("sim_run_start", pending=self.pending(live=True))
-        prof = self.profiler
-        charge = None
-        if prof is not None:
-            if prof.dims is not None:
-                charge = prof.charger()
-            wall_start = perf_counter()  # reprolint: ignore[RPL002] -- profiler
-        stream = self.stream
-        # Stream pulse cadence: the pulse fires when `processed` is a
-        # multiple of the stream's power-of-two check stride.
-        smask = stream.check_mask if stream is not None else 0
-        sbase = self.events_processed
         heap = self._heap
         hwm = len(heap) - self._cancelled
+        prof = self.profiler
+        stream = self.stream
+        stride = OBSERVE_STRIDE
+        next_slot = stride
+        charge = None
+        if prof is not None:
+            prof.note_heap(hwm)
+            hwm = prof.heap_hwm
+            if prof.dims is not None:
+                charge = prof.charger()
+                next_slot = 0
+            # reprolint: ignore[RPL002] -- profiler
+            wall_start = mark = perf_counter()
+        sbase = self.events_processed
         sim_start = self.now
         # Sentinel instead of a per-event None test; time > inf is never
         # true, so the untimed loop pays one float compare.
         limit = float("inf") if until is None else until
         processed = 0
         self._running = True
-        self._stopped = False
         try:
             # `while True`, not `while heap`: CPython 3.11 specializes a
             # code object only after calls or unconditional backward
             # jumps, and run() is entered once per scenario, so a loop
             # closed by a conditional jump would stay unspecialized.
             while True:
-                # Live pending is len(heap) minus the cancelled entries,
-                # never more than len(heap): the count is read only once
-                # the heap itself has grown past the mark.
-                if (
-                    prof is not None
-                    and len(heap) > hwm
-                    and len(heap) - self._cancelled > hwm
-                ):
-                    hwm = len(heap) - self._cancelled
                 if not heap or heap[0][0] > limit:
                     break
                 time, _, fn, args = heappop(heap)
@@ -258,26 +260,38 @@ class Simulator:
                     args = fn.args
                     fn = fn.fn
                 self.now = time
-                if charge is None:
-                    fn(*args)
-                else:
-                    # reprolint: ignore[RPL002] -- profiler
-                    t0 = perf_counter()
-                    fn(*args)
-                    # reprolint: ignore[RPL002] -- profiler
-                    charge(fn, perf_counter() - t0)
+                fn(*args)
                 processed += 1
-                if stream is not None and (processed & smask) == 0:
-                    stream.pulse(self, sbase + processed)
-                if self._stopped:
-                    break
-            if until is not None and not self._stopped and self.now < until:
+                # A compare of two small ints, not a bit mask: CPython
+                # specializes it and allocates nothing, while `&` builds
+                # a new int object on every dispatch.
+                if processed >= next_slot:
+                    # The observer slot.  Inline, not a method: with
+                    # attribution on it runs after every dispatch.
+                    # Live pending is len(heap) minus the cancelled
+                    # entries, never more than len(heap): the count is
+                    # read only once the heap itself has grown past the
+                    # mark.
+                    if len(heap) > hwm and len(heap) - self._cancelled > hwm:
+                        hwm = len(heap) - self._cancelled
+                        if prof is not None:
+                            prof.heap_hwm = hwm
+                    if charge is None:
+                        next_slot += stride
+                    else:
+                        # reprolint: ignore[RPL002] -- profiler
+                        now = perf_counter()
+                        charge(fn, now - mark)
+                        mark = now
+                    if stream is not None and processed % stride == 0:
+                        stream.pulse(self, sbase + processed)
+            if until is not None and self.now < until:
                 self.now = until
         finally:
             self._running = False
             self.events_processed += processed
             if prof is not None:
-                prof.note_heap(hwm)
+                prof.note_heap(len(heap) - self._cancelled)
                 prof.record_run(
                     processed,
                     perf_counter() - wall_start,  # reprolint: ignore[RPL002]
@@ -285,10 +299,6 @@ class Simulator:
                 )
         if journal is not None:
             journal.record("sim_run_end", events=self.events_processed - before)
-
-    def stop(self) -> None:
-        """Stop :meth:`run` after the current event returns."""
-        self._stopped = True
 
     def pending(self, live: bool = False) -> int:
         """Number of pending events.
@@ -311,7 +321,7 @@ class Simulator:
 class Timer:
     """A recurring timer created by :meth:`Simulator.every`."""
 
-    __slots__ = ("sim", "interval", "fn", "args", "jitter_fn", "_event", "cancelled")
+    __slots__ = ("sim", "interval", "fn", "args", "_event", "cancelled")
 
     def __init__(
         self,
@@ -319,36 +329,18 @@ class Timer:
         interval: float,
         fn: Callable[..., Any],
         args: tuple,
-        jitter_fn: Optional[Callable[[], float]],
     ) -> None:
         self.sim = sim
         self.interval = interval
         self.fn = fn
         self.args = args
-        self.jitter_fn = jitter_fn
         self._event: Optional[Event] = None
         self.cancelled = False
 
     def _arm(self, at: float) -> None:
         sim = self.sim
-        # The nominal firing time never lies in the past.
-        floor = at if at > sim.now else sim.now
-        if self.jitter_fn is not None:
-            at = at + self.jitter_fn()
-            if at < floor:
-                # A too-negative jitter draw is clamped to the *nominal*
-                # time, not to `now`: clamping to `now` silently
-                # coalesced firings onto the current instant and hid the
-                # de-sync misconfiguration.  The clamp is counted so it
-                # stays visible.
-                at = floor
-                sim.timer_jitter_clamps += 1
-                metrics = sim.metrics
-                if metrics is not None:
-                    metrics.counter("timer_jitter_clamped").inc()
-        else:
-            at = floor
-        self._event = sim.schedule_at(at, self._fire)
+        # The firing time never lies in the past.
+        self._event = sim.schedule_at(at if at > sim.now else sim.now, self._fire)
 
     def _fire(self) -> None:
         # The armed handle has fired; cancel() has nothing left to stop.

@@ -25,7 +25,6 @@ from .policies import (
     ReflectionAttackHost,
     ReflectionPolicy,
     make_policy,
-    resolve_policy,
 )
 from .sources import CBRSource, OnOffSource
 
@@ -55,5 +54,4 @@ __all__ = [
     "StaticClientApp",
     "make_policy",
     "make_spoofer",
-    "resolve_policy",
 ]

@@ -32,7 +32,6 @@ exactly the knowledge the paper grants its follower attacker.
 
 from __future__ import annotations
 
-import os
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Tuple
@@ -61,7 +60,6 @@ __all__ = [
     "ReflectionAttackHost",
     "ReflectionPolicy",
     "make_policy",
-    "resolve_policy",
 ]
 
 
@@ -606,10 +604,3 @@ def make_policy(
     raise ValueError(
         f"unknown attacker policy {name!r}; choose from {', '.join(POLICY_NAMES)}"
     )
-
-
-def resolve_policy(name: Optional[str] = None) -> str:
-    """CLI/env policy selection: explicit > ``$REPRO_POLICY`` > continuous."""
-    if name:
-        return name
-    return os.environ.get("REPRO_POLICY", "") or "continuous"

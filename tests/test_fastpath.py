@@ -1,13 +1,11 @@
-"""Fast-path safety: fired-event handles, live pending, timer-jitter
-clamp accounting, and batched CBR generation.
+"""Fast-path safety: fired-event handles, live pending, and batched CBR
+generation.
 
 The perf machinery must be invisible to simulation semantics:
 
 * cancelling an :class:`~repro.sim.engine.Event` after its callback has
   run is a no-op;
 * ``Simulator.pending(live=True)`` tracks lazy cancellation exactly;
-* jitter clamps in :class:`~repro.sim.engine.Timer` are counted on the
-  simulator and the bound metrics registry;
 * batched CBR sources emit the bit-identical packet schedule of the
   event-per-packet path.
 """
@@ -16,7 +14,6 @@ import random
 
 import pytest
 
-from repro.obs.registry import MetricsRegistry
 from repro.sim.engine import Simulator
 from repro.sim.node import Host
 from repro.traffic.sources import CBRSource
@@ -53,26 +50,6 @@ class TestLivePending:
         starts = [e for e in telemetry.journal.to_dicts()
                   if e["name"] == "sim_run_start"]
         assert starts[0]["attrs"]["pending"] == 1
-
-
-class TestTimerJitterClamp:
-    def test_clamp_counts_on_sim_and_registry(self):
-        sim = Simulator()
-        sim.metrics = MetricsRegistry()
-        fired = []
-        sim.every(1.0, lambda: fired.append(sim.now), jitter_fn=lambda: -50.0)
-        sim.run(until=3.5)
-        # Every arming clamps (jitter pulls far below the nominal time),
-        # and the clamp lands on the nominal time, not on `now`.
-        assert fired == [1.0, 2.0, 3.0]
-        assert sim.timer_jitter_clamps == 4  # 3 firings + the pending arm
-        assert sim.metrics.counter("timer_jitter_clamped").value == 4
-
-    def test_no_clamp_without_jitter(self):
-        sim = Simulator()
-        sim.every(1.0, lambda: None)
-        sim.run(until=2.5)
-        assert sim.timer_jitter_clamps == 0
 
 
 class TestFiredHandles:

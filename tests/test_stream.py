@@ -19,7 +19,6 @@ from repro.obs.stream import (
     StreamError,
     TelemetryStreamer,
     read_stream,
-    resolve_stream_interval,
     stream_path_for,
     tail_record,
     validate_stream,
@@ -48,7 +47,7 @@ TINY = TreeScenarioParams(
 def tiny_stream(tmp_path_factory):
     """One TINY scenario streamed to disk, shared across read-only tests."""
     path = str(tmp_path_factory.mktemp("stream") / "tiny.stream.jsonl")
-    cfg = StreamConfig(path=path, interval=2.0, check_stride=64)
+    cfg = StreamConfig(path=path, interval=2.0)
     result = run_tree_scenario(TINY, stream=cfg)
     return path, result
 
@@ -61,11 +60,6 @@ class TestConfig:
     def test_empty_openmetrics_path_disables_textfile(self, tmp_path):
         cfg = StreamConfig(path=str(tmp_path / "s.jsonl"), openmetrics_path="")
         assert cfg.textfile_path() is None
-
-    @pytest.mark.parametrize("stride", [0, 3, 100, -4])
-    def test_check_stride_must_be_power_of_two(self, stride, tmp_path):
-        with pytest.raises(StreamError):
-            StreamConfig(path=str(tmp_path / "s"), check_stride=stride)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -81,16 +75,6 @@ class TestConfig:
     def test_rejects_nonpositive_cadence(self, kwargs, tmp_path):
         with pytest.raises(StreamError):
             StreamConfig(path=str(tmp_path / "s"), **kwargs)
-
-    def test_resolve_interval_precedence(self, monkeypatch):
-        monkeypatch.delenv("REPRO_STREAM", raising=False)
-        assert resolve_stream_interval(None) == 5.0
-        monkeypatch.setenv("REPRO_STREAM", "2.5")
-        assert resolve_stream_interval(None) == 2.5
-        assert resolve_stream_interval(7.0) == 7.0  # explicit wins
-        monkeypatch.setenv("REPRO_STREAM", "nope")
-        with pytest.raises(StreamError):
-            resolve_stream_interval(None)
 
     def test_stream_path_for_sanitizes_task_ids(self, tmp_path):
         d = str(tmp_path)
@@ -150,6 +134,20 @@ class TestStreamFile:
             for s in doc["samples"]
         )
 
+    def test_heap_hwm_is_a_running_high_water_mark(self, tmp_path):
+        tele = Telemetry()
+        cfg = StreamConfig(path=str(tmp_path / "hwm.stream.jsonl"), interval=2.0)
+        run_tree_scenario(TINY, telemetry=tele, stream=cfg)
+        _, records = read_stream(cfg.path)
+        assert len(records) > 2
+        marks = [r["engine"]["heap_hwm"] for r in records]
+        assert marks == sorted(marks)
+        assert all(
+            r["engine"]["heap_hwm"] >= r["engine"]["live_pending"]
+            for r in records
+        )
+        assert marks[-1] == tele.profiler.as_dict()["heap_hwm_events"]
+
     def test_tail_record_reads_only_the_tail(self, tiny_stream):
         path, _ = tiny_stream
         rec = tail_record(path)
@@ -194,11 +192,7 @@ class TestInvariants:
 
         off = journal_bytes(None)
         on = journal_bytes(
-            StreamConfig(
-                path=str(tmp_path / "run.stream.jsonl"),
-                interval=1.0,
-                check_stride=64,
-            )
+            StreamConfig(path=str(tmp_path / "run.stream.jsonl"), interval=1.0)
         )
         assert off == on
 
@@ -209,7 +203,7 @@ class TestInvariants:
 
         _, streamed = tiny_stream
         stream_cfg = StreamConfig(
-            path=str(tmp_path / "s.stream.jsonl"), interval=2.0, check_stride=64
+            path=str(tmp_path / "s.stream.jsonl"), interval=2.0
         )
         plain = result_to_dict(run_tree_scenario(TINY))
         runs = {
@@ -230,7 +224,6 @@ class TestInvariants:
             path=str(tmp_path / "wall.stream.jsonl"),
             interval=1e9,  # the sim-time ticker never fires
             wall_cap=1e-9,  # ... but the wall cap always does
-            check_stride=64,
         )
         run_tree_scenario(TINY, stream=cfg)
         _, records = read_stream(cfg.path)
@@ -238,13 +231,14 @@ class TestInvariants:
         assert "wall" in reasons
         assert "tick" not in reasons
 
-    def test_engine_pulses_stream_without_profiler(self, tmp_path):
+    def test_engine_pulses_stream_without_profiler(self, tmp_path, monkeypatch):
         # sim.profiler stays None; run() pulses the stream on its own.
+        import repro.sim.engine as engine
+
+        monkeypatch.setattr(engine, "OBSERVE_STRIDE", 1)  # pulse every event
         sim = Simulator()
         cfg = StreamConfig(
-            path=str(tmp_path / "bare.stream.jsonl"),
-            interval=10.0,
-            check_stride=1,  # pulse on every event
+            path=str(tmp_path / "bare.stream.jsonl"), interval=10.0
         )
         streamer = TelemetryStreamer(Telemetry(), cfg).attach(sim)
 
@@ -283,9 +277,7 @@ class TestInvariants:
 
     def test_self_cost_reported(self, tiny_stream):
         tele = Telemetry()
-        cfg = StreamConfig(
-            path=tiny_stream[0] + ".cost", interval=2.0, check_stride=64
-        )
+        cfg = StreamConfig(path=tiny_stream[0] + ".cost", interval=2.0)
         run_tree_scenario(TINY, telemetry=tele, stream=cfg)
         assert tele.streamer is not None
         cost = tele.streamer.self_cost()
@@ -327,10 +319,11 @@ class TestPoolStreams:
         assert status["done"] is True
         assert status["tasks"]["total"] == 2
         assert status["tasks"]["done"] == 2
-        assert set(status["streams"]) == {"a", "b"}
         view = render_pool_view(d)
-        assert "2 worker(s)" in view or "workers" in view
-        assert "a" in status["streams"] and "[done]" in view
+        assert "2 worker(s)" in view
+        rows = view.split("streams:\n", 1)[1].splitlines()
+        assert [row.split()[0] for row in rows] == ["a", "b"]
+        assert all(row.endswith("[done]") for row in rows)
 
     def test_run_many_serial_also_streams(self, tmp_path):
         from repro.experiments.runner import run_many
