@@ -29,15 +29,6 @@ WHITELIST: Dict[str, Dict[str, str]] = {
             "the call sites"
         ),
     },
-    "repro/sim/queues.py": {
-        "RPL001": (
-            "REDQueue keeps a private Generator seeded via "
-            "derive_seed(seed, 'red-queue') so its drop coin cannot "
-            "perturb (or be perturbed by) any shared experiment stream; "
-            "routing it through a registry would couple queue drops to "
-            "stream creation order"
-        ),
-    },
     "repro/honeypots/schedule.py": {
         "RPL001": (
             "the roaming schedule's RNG is seeded from the hash-chain "

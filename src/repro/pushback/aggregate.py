@@ -42,27 +42,17 @@ class DropHistory:
     def __init__(self, maxlen: int = 2000) -> None:
         if maxlen < 1:
             raise ValueError("maxlen must be >= 1")
-        self._drops: Deque[Tuple[float, int, int]] = deque(maxlen=maxlen)
-        self.total_recorded = 0
+        self._drops: Deque[Tuple[float, int]] = deque(maxlen=maxlen)
 
     def record(self, now: float, pkt: Packet) -> None:
-        self._drops.append((now, pkt.dst, pkt.size))
-        self.total_recorded += 1
+        self._drops.append((now, pkt.dst))
 
     def counts_since(self, since: float) -> Dict[int, int]:
         """dst -> dropped-packet count for drops at time >= ``since``."""
         counts: Dict[int, int] = {}
-        for t, dst, _size in self._drops:
+        for t, dst in self._drops:
             if t >= since:
                 counts[dst] = counts.get(dst, 0) + 1
-        return counts
-
-    def bytes_since(self, since: float) -> Dict[int, int]:
-        """dst -> dropped bytes for drops at time >= ``since``."""
-        counts: Dict[int, int] = {}
-        for t, dst, size in self._drops:
-            if t >= since:
-                counts[dst] = counts.get(dst, 0) + size
         return counts
 
     def __len__(self) -> int:

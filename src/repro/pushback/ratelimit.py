@@ -9,16 +9,23 @@ redistributed among the rest.
 The paper's Figs. 10–11 hinge on exactly this behaviour: the allocation
 is per input *port*, blind to how many end hosts sit behind each port,
 so attackers near the victim receive large (protected!) shares.
+
+Each limited aggregate is policed by a :class:`TokenBucket`, which is
+what ACC's rate limiter amounts to at the output queue.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Sequence, TypeVar
+from typing import Dict, Hashable, List, Optional, Sequence, TypeVar
 
 from ..sim.packet import Packet
-from ..sim.queues import TokenBucket
 
-__all__ = ["maxmin_allocation", "maxmin_allocation_map", "AggregateRateLimiter"]
+__all__ = [
+    "maxmin_allocation",
+    "maxmin_allocation_map",
+    "TokenBucket",
+    "AggregateRateLimiter",
+]
 
 K = TypeVar("K", bound=Hashable)
 
@@ -62,6 +69,57 @@ def maxmin_allocation_map(limit: float, demands: Dict[K, float]) -> Dict[K, floa
     keys = sorted(demands.keys(), key=repr)
     allocs = maxmin_allocation(limit, [demands[k] for k in keys])
     return dict(zip(keys, allocs))
+
+
+class TokenBucket:
+    """Token-bucket rate limiter.
+
+    Tokens accumulate at ``rate_bps`` bits/second up to ``burst_bits``.
+    :meth:`admit` is called with the current time and a packet size and
+    returns whether the packet conforms.  Non-conforming packets are
+    dropped by the caller (policing, not shaping), which is what
+    Pushback's rate limiter does to an aggregate.
+    """
+
+    __slots__ = ("rate_bps", "burst_bits", "_tokens", "_last", "admitted", "policed")
+
+    def __init__(self, rate_bps: float, burst_bits: Optional[float] = None) -> None:
+        if rate_bps < 0:
+            raise ValueError(f"rate must be >= 0 (got {rate_bps})")
+        self.rate_bps = rate_bps
+        # Default burst: 4 full-size (1500 B) packets or 10 ms of rate,
+        # whichever is larger — enough not to starve a single conformant
+        # CBR flow at the configured rate.
+        if burst_bits is None:
+            burst_bits = max(4 * 1500 * 8.0, rate_bps * 0.01)
+        self.burst_bits = burst_bits
+        self._tokens = burst_bits
+        self._last = 0.0
+        self.admitted = 0
+        self.policed = 0
+
+    def set_rate(self, now: float, rate_bps: float) -> None:
+        """Change the policing rate, crediting tokens earned so far."""
+        self._credit(now)
+        self.rate_bps = max(0.0, rate_bps)
+
+    def _credit(self, now: float) -> None:
+        if now > self._last:
+            self._tokens = min(
+                self.burst_bits, self._tokens + (now - self._last) * self.rate_bps
+            )
+            self._last = now
+
+    def admit(self, now: float, size_bytes: int) -> bool:
+        """True if a packet of ``size_bytes`` conforms at time ``now``."""
+        self._credit(now)
+        bits = size_bytes * 8
+        if self._tokens >= bits:
+            self._tokens -= bits
+            self.admitted += 1
+            return True
+        self.policed += 1
+        return False
 
 
 class AggregateRateLimiter:

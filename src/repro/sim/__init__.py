@@ -3,42 +3,36 @@
 The paper evaluates honeypot back-propagation with ns-2; this package
 provides the subset of ns-2 the paper's experiments use, built from
 scratch: an event scheduler, duplex links with bandwidth/propagation
-delay and drop-tail queues, store-and-forward routers with defense
-ingress hooks, static shortest-path routing, CBR traffic (in
+delay and drop-tail FIFO buffers, store-and-forward routers with
+defense ingress hooks, static shortest-path routing, CBR traffic (in
 :mod:`repro.traffic`), and throughput monitors.
 """
 
 from .engine import Event, SimulationError, Simulator, Timer
 from .link import Channel, Link
-from .monitor import FlowCounter, ThroughputMonitor, mean_over_window
+from .monitor import ThroughputMonitor, mean_over_window
 from .network import Network
 from .node import Host, Node, Router
 from .packet import DEFAULT_TTL, Packet, PacketKind
-from .queues import DropRateEstimator, DropTailQueue, REDQueue, TokenBucket
 from .rng import RngRegistry, derive_seed
 from .routing import install_routes, path_hops
 
 __all__ = [
     "Channel",
     "DEFAULT_TTL",
-    "DropRateEstimator",
-    "DropTailQueue",
     "Event",
-    "FlowCounter",
     "Host",
     "Link",
     "Network",
     "Node",
     "Packet",
     "PacketKind",
-    "REDQueue",
     "RngRegistry",
     "Router",
     "SimulationError",
     "Simulator",
     "ThroughputMonitor",
     "Timer",
-    "TokenBucket",
     "derive_seed",
     "install_routes",
     "mean_over_window",

@@ -3,8 +3,11 @@
 A :class:`Link` is full-duplex and is modeled as two independent
 simplex :class:`Channel`s, as in ns-2's duplex-link.  Each channel
 serializes packets at its bandwidth, holds packets awaiting
-transmission in a drop-tail queue, and delivers each packet to the far
-node one propagation delay after its last bit is sent.
+transmission in a drop-tail FIFO (a plain deque bounded by
+``queue_limit`` packets, ns-2's ``Queue/DropTail``; the paper's CBR
+packets are fixed-size, so packet and byte limits are equivalent), and
+delivers each packet to the far node one propagation delay after its
+last bit is sent.
 
 This module is the simulator's hot path; it avoids allocation beyond
 the unavoidable scheduler entries, and those are plain uncancellable
@@ -25,11 +28,11 @@ pushback/defense review timers sample at 100ms+).
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, Optional
+from collections import deque
+from typing import TYPE_CHECKING, Callable, Deque, Optional
 
 from .engine import Simulator
 from .packet import Packet
-from .queues import DropTailQueue
 
 if TYPE_CHECKING:  # pragma: no cover
     from .node import Node
@@ -47,7 +50,8 @@ class Channel:
     delay:
         Propagation delay in seconds.
     queue_limit:
-        Drop-tail buffer size in packets (awaiting transmission).
+        Drop-tail buffer size in packets (awaiting transmission); an
+        arrival that finds ``queue_limit`` packets queued is dropped.
     """
 
     __slots__ = (
@@ -57,6 +61,7 @@ class Channel:
         "bandwidth_bps",
         "delay",
         "queue",
+        "queue_limit",
         "_busy_until",
         "_draining",
         "packets_sent",
@@ -74,7 +79,6 @@ class Channel:
         bandwidth_bps: float,
         delay: float,
         queue_limit: int = 50,
-        queue: Optional[DropTailQueue] = None,
     ) -> None:
         if not 0 < bandwidth_bps < math.inf:
             raise ValueError(
@@ -82,13 +86,15 @@ class Channel:
             )
         if not 0 <= delay < math.inf:
             raise ValueError(f"delay must be finite and >= 0 (got {delay})")
+        if not queue_limit >= 1:  # negated so that NaN is rejected too
+            raise ValueError(f"queue limit must be >= 1 (got {queue_limit})")
         self.sim = sim
         self.src = src
         self.dst = dst
         self.bandwidth_bps = bandwidth_bps
         self.delay = delay
-        # Pluggable discipline: drop-tail by default, RED on request.
-        self.queue = queue if queue is not None else DropTailQueue(queue_limit)
+        self.queue: Deque[Packet] = deque()
+        self.queue_limit = queue_limit
         # Fused-path state: the serializer is busy through _busy_until;
         # _draining marks that a classic _tx_done chain is in flight and
         # will pull from the queue when it completes.
@@ -116,11 +122,13 @@ class Channel:
             # now + (tx_time + delay), and the journal depends on it.
             sim.post_at(now + (tx_time + self.delay), self._fused_done, pkt)
             return True
-        if not self.queue.push(pkt):
+        queue = self.queue
+        if len(queue) >= self.queue_limit:
             self.packets_dropped += 1
             if self.drop_hook is not None:
                 self.drop_hook(pkt)
             return False
+        queue.append(pkt)
         if not self._draining:
             # Backlog behind a fused transmission: arrange for the
             # queue to start draining the instant the serializer frees
@@ -135,15 +143,13 @@ class Channel:
         # boundary; see the module docstring).
         self.packets_sent += 1
         self.bytes_sent += pkt.size
-        pkt.hops += 1
         self.dst.receive(pkt, self)
 
     def _drain(self) -> None:
-        nxt = self.queue.pop()
-        if nxt is None:
-            self._draining = False
+        if self.queue:
+            self._transmit(self.queue.popleft())
         else:
-            self._transmit(nxt)
+            self._draining = False
 
     def _transmit(self, pkt: Packet) -> None:
         self._draining = True
@@ -156,14 +162,12 @@ class Channel:
         self.bytes_sent += pkt.size
         sim = self.sim
         sim.post_at(sim.now + self.delay, self._deliver, pkt)
-        nxt = self.queue.pop()
-        if nxt is not None:
-            self._transmit(nxt)
+        if self.queue:
+            self._transmit(self.queue.popleft())
         else:
             self._draining = False
 
     def _deliver(self, pkt: Packet) -> None:
-        pkt.hops += 1
         self.dst.receive(pkt, self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -186,14 +190,11 @@ class Link:
         bandwidth_bps: float,
         delay: float,
         queue_limit: int = 50,
-        queue_factory: Optional[Callable[[], DropTailQueue]] = None,
     ) -> None:
         self.a = a
         self.b = b
-        q_ab = queue_factory() if queue_factory is not None else None
-        q_ba = queue_factory() if queue_factory is not None else None
-        self.ab = Channel(sim, a, b, bandwidth_bps, delay, queue_limit, q_ab)
-        self.ba = Channel(sim, b, a, bandwidth_bps, delay, queue_limit, q_ba)
+        self.ab = Channel(sim, a, b, bandwidth_bps, delay, queue_limit)
+        self.ba = Channel(sim, b, a, bandwidth_bps, delay, queue_limit)
         self.ab.link = self
         self.ba.link = self
         a.attach(self.ab, self.ba)

@@ -1,17 +1,18 @@
-"""Measurement: throughput time series and flow accounting.
+"""Measurement: throughput time series.
 
 The paper's headline metric is *legitimate client throughput as a
 percentage of the bottleneck link capacity* (Figs. 8, 10, 11), sampled
-over time and averaged over the attack window.  These monitors count
-bytes delivered at the servers, classified by the ground-truth origin
-of each packet (``true_src``), which is measurement-only information.
+over time and averaged over the attack window.  The monitor counts
+bytes delivered at the servers, classified by a caller-supplied
+function of each packet (the scenarios use its flow label, which marks
+ground truth and is measurement-only information).
 
-Both monitors sit on top of :mod:`repro.obs`: pass a
+The monitor sits on top of :mod:`repro.obs`: pass a
 :class:`~repro.obs.MetricsRegistry` and every delivered packet is also
 counted into labeled ``delivered_packets_total`` /
 ``delivered_bytes_total`` counters, making the per-class totals part of
-the run's machine-readable artifact.  Without a registry the monitors
-behave exactly as before (no registry object is ever consulted).
+the run's machine-readable artifact.  Without a registry no registry
+object is ever consulted.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .packet import Packet
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs imports sim)
     from ..obs.registry import MetricsRegistry
 
-__all__ = ["ThroughputMonitor", "FlowCounter", "mean_over_window"]
+__all__ = ["ThroughputMonitor", "mean_over_window"]
 
 
 class ThroughputMonitor:
@@ -124,28 +125,6 @@ class ThroughputMonitor:
             "times": list(self.times),
             "series_bps": {label: list(vals) for label, vals in self.series.items()},
         }
-
-
-class FlowCounter:
-    """Per-origin delivered byte counts at a set of hosts."""
-
-    def __init__(
-        self, hosts: Sequence[Host], registry: Optional[MetricsRegistry] = None
-    ) -> None:
-        self.by_true_src: Dict[int, int] = {}
-        self.total_bytes = 0
-        self.registry = registry
-        for host in hosts:
-            host.on_deliver(self._on_packet)
-
-    def _on_packet(self, pkt: Packet) -> None:
-        self.by_true_src[pkt.true_src] = (
-            self.by_true_src.get(pkt.true_src, 0) + pkt.size
-        )
-        self.total_bytes += pkt.size
-        if self.registry is not None:
-            self.registry.counter("flow_bytes_total").inc(pkt.size)
-            self.registry.gauge("flow_origins").set(len(self.by_true_src))
 
 
 def mean_over_window(

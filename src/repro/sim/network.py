@@ -68,20 +68,11 @@ class Network:
         bandwidth: float = DEFAULT_BANDWIDTH,
         delay: float = DEFAULT_DELAY,
         qlimit: int = DEFAULT_QLIMIT,
-        qdisc: str = "droptail",
     ) -> Link:
-        if qdisc == "droptail":
-            factory = None
-        elif qdisc == "red":
-            from .queues import REDQueue
-
-            factory = lambda: REDQueue(qlimit)  # noqa: E731
-        else:
-            raise ValueError(f"unknown queue discipline {qdisc!r}")
-        link = Link(self.sim, a, b, bandwidth, delay, qlimit, queue_factory=factory)
+        link = Link(self.sim, a, b, bandwidth, delay, qlimit)
         self.links.append(link)
         self.graph.add_edge(
-            a.id, b.id, bandwidth=bandwidth, delay=delay, qlimit=qlimit, qdisc=qdisc
+            a.id, b.id, bandwidth=bandwidth, delay=delay, qlimit=qlimit
         )
         return link
 
@@ -105,13 +96,12 @@ class Network:
                 bandwidth=data.get("bandwidth", DEFAULT_BANDWIDTH),
                 delay=data.get("delay", DEFAULT_DELAY),
                 qlimit=data.get("qlimit", DEFAULT_QLIMIT),
-                qdisc=data.get("qdisc", "droptail"),
             )
             # Preserve any extra edge attributes (e.g. routing weights).
             extra = {
                 k: v
                 for k, v in data.items()
-                if k not in ("bandwidth", "delay", "qlimit", "qdisc")
+                if k not in ("bandwidth", "delay", "qlimit")
             }
             if extra:
                 net.graph.edges[a, b].update(extra)

@@ -95,7 +95,6 @@ class Node:
             kind=PacketKind.CONTROL,
             payload=msg,
             ttl=ttl,
-            created_at=self.sim.now,
         )
         # Hop-by-hop control messages go to direct neighbors, which need
         # not appear in the routing tables: use the connecting channel.

@@ -14,29 +14,25 @@ read or write:
   logic may read it (enforced by the defense implementations reading
   only ``src``).
 
-Addresses are plain integers (node IDs); an address space abstraction
-would add cost in the hot path without adding fidelity.
+Nothing else rides along: every slot is read by routing, a defense, a
+monitor or a control handler.  Addresses are plain integers (node IDs);
+an address space abstraction would add cost in the hot path without
+adding fidelity.
 """
 
 from __future__ import annotations
 
-from itertools import count
 from typing import Any, Optional
 
 __all__ = ["Packet", "PacketKind", "DEFAULT_TTL"]
 
 DEFAULT_TTL = 255
 
-_packet_uid = count()
-
 
 class PacketKind:
     """Packet kind tags (plain strings; cheap to compare, easy to trace)."""
 
     DATA = "data"
-    SYN = "syn"
-    SYNACK = "synack"
-    ACK = "ack"
     CONTROL = "control"
 
 
@@ -62,7 +58,6 @@ class Packet:
     """
 
     __slots__ = (
-        "uid",
         "src",
         "dst",
         "size",
@@ -72,8 +67,6 @@ class Packet:
         "mark",
         "ttl",
         "payload",
-        "created_at",
-        "hops",
     )
 
     def __init__(
@@ -87,9 +80,7 @@ class Packet:
         kind: str = PacketKind.DATA,
         payload: Any = None,
         ttl: int = DEFAULT_TTL,
-        created_at: float = 0.0,
     ) -> None:
-        self.uid = next(_packet_uid)
         self.src = src
         self.dst = dst
         self.size = size
@@ -99,8 +90,6 @@ class Packet:
         self.mark = 0
         self.ttl = ttl
         self.payload = payload
-        self.created_at = created_at
-        self.hops = 0
 
     @property
     def spoofed(self) -> bool:
@@ -110,7 +99,7 @@ class Packet:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         spoof = "*" if self.spoofed else ""
         return (
-            f"Packet(#{self.uid} {self.src}{spoof}->{self.dst} "
+            f"Packet({self.src}{spoof}->{self.dst} "
             f"{self.kind} {self.size}B ttl={self.ttl})"
         )
 

@@ -78,7 +78,6 @@ class AmplifierApp:
                 size,
                 true_src=self.host.addr,
                 flow=("attack", self.host.addr),
-                created_at=self.sim.now,
             )
             self.packets_reflected += 1
             self.host.originate(out)

@@ -5,22 +5,21 @@ bit rate) traffic toward the servers (Section 8.3).  Low-rate attackers
 alternate on-bursts of ``t_on`` seconds at rate r with ``t_off``
 seconds of silence (Section 7.3).
 
-Fast path: with ``batch=K`` (or ``REPRO_CBR_BATCH=K``) a CBR source
-schedules its next K departures from one refill event, the K-th of
-them being the next refill.  Jitter draws come from the source's
-existing RNG stream and departure times by the same sequential float
-accumulation as the event-per-packet path, so each source's packet
-schedule is bit-identical.  The default stays K=1 because scenarios
-share one client RNG across many sources: batching reorders the
-*interleaving* of draws between sources, which changes the global
-random sequence even though each gap distribution is unchanged.
-Enable it for single-source or per-source-RNG workloads.
+Batched path: with ``batch=K`` a CBR source schedules its next K
+departures from one refill event, the K-th of them being the next
+refill.  Jitter draws come from the source's existing RNG stream and
+departure times by the same sequential float accumulation as the
+event-per-packet path, so each source's packet schedule is
+bit-identical.  The default stays K=1 because scenarios share one
+client RNG across many sources: batching reorders the *interleaving*
+of draws between sources, which changes the global random sequence
+even though each gap distribution is unchanged.  No scenario sets K,
+and no measurement shows it winning.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from typing import Callable, List, Optional
 
 from ..sim.engine import Event, Simulator
@@ -57,8 +56,7 @@ class CBRSource:
         long-run rate is unchanged.  Requires ``rng`` when non-zero.
     batch:
         Departure times precomputed per scheduling round (default 1 =
-        one event per packet; see module docstring).  ``None`` reads
-        ``REPRO_CBR_BATCH``.
+        one event per packet; see module docstring).
     """
 
     def __init__(
@@ -73,7 +71,7 @@ class CBRSource:
         kind: str = PacketKind.DATA,
         jitter: float = 0.0,
         rng=None,
-        batch: Optional[int] = None,
+        batch: int = 1,
     ) -> None:
         # Negated so that a NaN rate (NaN inter-packet gaps) is rejected;
         # an infinite rate would make every gap 0.0 and _tick would
@@ -86,8 +84,6 @@ class CBRSource:
             raise ValueError(f"jitter must be in [0, 1) (got {jitter})")
         if jitter > 0.0 and rng is None:
             raise ValueError("jitter requires an rng")
-        if batch is None:
-            batch = int(os.environ.get("REPRO_CBR_BATCH", "1") or "1")
         if batch < 1:
             raise ValueError(f"batch must be >= 1 (got {batch})")
         self.sim = sim
@@ -144,7 +140,6 @@ class CBRSource:
             true_src=self.host.addr,
             flow=self.flow,
             kind=self.kind,
-            created_at=self.sim.now,
         )
         self.host.originate(pkt)
         self.packets_sent += 1

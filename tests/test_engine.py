@@ -1,12 +1,13 @@
 """Tests for the discrete-event engine."""
 
-import sys
 from bisect import insort
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim.engine import SimulationError, Simulator
+
+from .opcodes import count_opcodes
 
 
 class TestScheduling:
@@ -170,24 +171,7 @@ class TestObserverCost:
         for i in range(self.EVENTS):
             sim.post_at(i * 1e-3, _noop)
         attach(sim)
-        count = 0
-
-        def local(frame, event, arg):
-            nonlocal count
-            if event == "opcode":
-                count += 1
-            return local
-
-        def call(frame, event, arg):
-            frame.f_trace_opcodes = True
-            return local
-
-        previous = sys.gettrace()
-        sys.settrace(call)
-        try:
-            sim.run()
-        finally:
-            sys.settrace(previous)
+        count = count_opcodes(sim.run)
         assert sim.events_processed == self.EVENTS
         return count / self.EVENTS
 

@@ -1,5 +1,5 @@
-"""Fast-path safety: fired-event handles, live pending, and batched CBR
-generation.
+"""Fast-path safety: fired-event handles, live pending, batched CBR
+generation, and the packet path's per-event cost.
 
 The perf machinery must be invisible to simulation semantics:
 
@@ -8,15 +8,25 @@ The perf machinery must be invisible to simulation semantics:
 * ``Simulator.pending(live=True)`` tracks lazy cancellation exactly;
 * batched CBR sources emit the bit-identical packet schedule of the
   event-per-packet path.
+
+And it must stay cheap: the bytecode executed per event on a small tree
+scenario is pinned per defense, a deterministic count where wall time
+is weather.
 """
 
 import random
+import sys
+from dataclasses import replace
 
 import pytest
 
+from repro.experiments.scenarios import TreeScenarioParams, run_tree_scenario
 from repro.sim.engine import Simulator
+from repro.sim.network import Network
 from repro.sim.node import Host
 from repro.traffic.sources import CBRSource
+
+from .opcodes import count_opcodes
 
 
 class TestLivePending:
@@ -110,13 +120,58 @@ class TestBatchedCBR:
         sim.run(until=2.0)
         assert src.packets_sent > sent
 
-    def test_batch_env_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CBR_BATCH", "8")
+    def test_environment_does_not_set_batch(self, monkeypatch):
         sim = Simulator()
-        src = CBRSource(sim, Host(sim, 1), dst=1, rate_bps=8e5)
-        assert src.batch == 8
+        for value in ("8", "x"):
+            monkeypatch.setenv("REPRO_CBR_BATCH", value)
+            src = CBRSource(sim, Host(sim, 1), dst=1, rate_bps=8e5)
+            assert src.batch == 1
 
     def test_invalid_batch_rejected(self):
         sim = Simulator()
         with pytest.raises(ValueError):
             CBRSource(sim, Host(sim, 1), dst=1, rate_bps=8e5, batch=0)
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11),
+    reason="opcode counts are pinned for CPython 3.11",
+)
+class TestPacketPathCost:
+    """Bytecode instructions executed inside ``Network.run`` per event.
+
+    The count is deterministic, so a budget of +0.5 % over the pinned
+    value fails any change that adds more than that, on any machine
+    running the pinned CPython version.  The event counts are pinned
+    exactly: a change to them is a change in behaviour, not in cost.
+    """
+
+    PARAMS = TreeScenarioParams(
+        n_leaves=12,
+        n_attackers=3,
+        duration=3.0,
+        attack_start=0.5,
+        attack_end=2.5,
+        seed=0,
+    )
+    # defense -> (events, opcodes per event), CPython 3.11.
+    PINNED = {
+        "honeypot": (55_223, 234.01),
+        "pushback": (59_710, 235.82),
+        "none": (59_794, 191.74),
+    }
+
+    @pytest.mark.parametrize("defense", sorted(PINNED))
+    def test_opcodes_per_event_within_budget(self, defense, monkeypatch):
+        counts = []
+        run = Network.run
+
+        def traced_run(net, until=None):
+            counts.append(count_opcodes(run, net, until))
+
+        monkeypatch.setattr(Network, "run", traced_run)
+        result = run_tree_scenario(replace(self.PARAMS, defense=defense))
+        events, pinned = self.PINNED[defense]
+        assert result.events_processed == events
+        per_event = counts[0] / events
+        assert per_event <= pinned * 1.005, (defense, per_event, pinned)

@@ -76,7 +76,7 @@ class TestCaptureFlow:
         # trigger traceback (Section 5.3 false-positive tolerance).
         topo, net, defense = build(hops=3, p=1.0)
         prober = net.nodes[topo.attacker_id]
-        pkt = Packet(prober.addr, topo.server_id, 100, created_at=0.0)
+        pkt = Packet(prober.addr, topo.server_id, 100)
         net.sim.schedule_at(1.0, prober.originate, pkt)
         net.run(until=9.0)
         assert not defense.captures

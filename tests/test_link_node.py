@@ -42,6 +42,18 @@ class TestChannel:
         assert results == [True, True, True, False]
         assert link.ab.packets_dropped == 1
 
+    def test_backlog_delivers_in_send_order(self):
+        sim, a, b, link = make_pair(qlimit=5)
+        seen = []
+        b.on_deliver(lambda p: seen.append(p.src))
+        # One transmitting, four queued behind it: a FIFO drains them
+        # in the order they were sent.
+        for src in range(5):
+            assert link.ab.send(Packet(src, 1, 1000))
+        assert len(link.ab.queue) == 4
+        sim.run()
+        assert seen == list(range(5))
+
     def test_drop_hook_invoked(self):
         sim, a, b, link = make_pair(qlimit=1)
         dropped = []
@@ -64,6 +76,8 @@ class TestChannel:
             Link(sim, a, b, 0.0, 0.1)
         with pytest.raises(ValueError):
             Link(sim, a, b, 1e6, -0.1)
+        with pytest.raises(ValueError):
+            Link(sim, a, b, 1e6, 0.1, queue_limit=0)
         # NaN passes a plain `<= 0` / `< 0` test; it and inf would
         # only fail later, mid-run (NaN event times) or never (inf
         # delay delivers nothing).
@@ -135,7 +149,7 @@ class TestRouter:
         sim, h1, r, h2 = self.build_chain()
         seen = []
         h2.on_deliver(seen.append)
-        h1.originate(Packet(0, 2, 100, created_at=0.0))
+        h1.originate(Packet(0, 2, 100))
         sim.run()
         assert len(seen) == 1
         assert r.packets_forwarded == 1

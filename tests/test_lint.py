@@ -145,6 +145,16 @@ class TestWhitelist:
                 assert code.startswith("RPL")
                 assert len(reason.strip()) > 10, (path, code)
 
+    def test_every_entry_names_an_existing_module(self):
+        # A key left behind by a deleted module would silently exempt
+        # any future module at that path.
+        src = REPO_ROOT / "src"
+        for key in WHITELIST:
+            if key.endswith("/"):
+                assert (src / key).is_dir(), key
+            else:
+                assert (src / key).is_file(), key
+
 
 class TestCli:
     def test_exit_zero_on_clean_file(self, tmp_path, capsys):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.engine import Simulator
-from repro.sim.monitor import FlowCounter, ThroughputMonitor, mean_over_window
+from repro.sim.monitor import ThroughputMonitor, mean_over_window
 from repro.sim.node import Host
 from repro.sim.packet import Packet
 from repro.sim.rng import RngRegistry, derive_seed
@@ -104,17 +104,6 @@ class TestThroughputMonitor:
         sim = Simulator()
         with pytest.raises(ValueError):
             ThroughputMonitor(sim, [], lambda p: None, interval=0.0)
-
-
-class TestFlowCounter:
-    def test_counts_by_true_source(self):
-        sim = Simulator()
-        host = Host(sim, 0)
-        fc = FlowCounter([host])
-        host.receive(Packet(7, 0, 100, true_src=42), None)
-        host.receive(Packet(8, 0, 50, true_src=42), None)
-        assert fc.by_true_src == {42: 150}
-        assert fc.total_bytes == 150
 
 
 class TestMeanOverWindow:

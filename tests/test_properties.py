@@ -3,8 +3,8 @@
 Invariants on the core data structures and models, beyond the
 per-module unit tests:
 
-* RED queues never exceed their physical limit and drop monotonically
-  more under heavier overload;
+* a channel's drop-tail FIFO never holds more than its limit, accounts
+  for every packet as sent or dropped, and delivers in send order;
 * attacker emission processes are monotone, self-consistent, and
   respect burst boundaries;
 * the intermediate-AS list never grows beyond the distinct reporters
@@ -21,22 +21,31 @@ from hypothesis import given, settings, strategies as st
 from repro.backprop.interas import ASAttackerSpec
 from repro.backprop.progressive import IntermediateASList
 from repro.pushback.ratelimit import maxmin_allocation
+from repro.sim.engine import Simulator
+from repro.sim.link import Link
+from repro.sim.node import Host
 from repro.sim.packet import Packet
-from repro.sim.queues import REDQueue
 
 
 @settings(max_examples=50, deadline=None)
 @given(
-    limit=st.integers(min_value=2, max_value=100),
-    arrivals=st.integers(min_value=0, max_value=500),
-    seed=st.integers(min_value=0, max_value=100),
+    queue_limit=st.integers(min_value=1, max_value=50),
+    n=st.integers(min_value=0, max_value=200),
 )
-def test_red_never_exceeds_limit(limit, arrivals, seed):
-    q = REDQueue(limit=limit, seed=seed)
-    for _ in range(arrivals):
-        q.push(Packet(1, 2, 100))
-    assert len(q) <= limit
-    assert q.enqueued + q.dropped == arrivals
+def test_droptail_channel_bounded_and_fifo(queue_limit, n):
+    sim = Simulator()
+    a, b = Host(sim, 0), Host(sim, 1)
+    channel = Link(sim, a, b, 1e6, 0.01, queue_limit).ab
+    delivered = []
+    b.on_deliver(lambda p: delivered.append(p.src))
+    accepted = []
+    for src in range(n):
+        if channel.send(Packet(src, 1, 100)):
+            accepted.append(src)
+        assert len(channel.queue) <= queue_limit
+    sim.run()
+    assert channel.packets_sent + channel.packets_dropped == n
+    assert delivered == accepted
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,50 +1,9 @@
-"""Tests for queues, token buckets, and drop-rate estimation."""
+"""Tests for the token bucket that polices Pushback aggregates."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim.packet import Packet
-from repro.sim.queues import DropRateEstimator, DropTailQueue, TokenBucket
-
-
-def pkt(size=100):
-    return Packet(1, 2, size)
-
-
-class TestDropTailQueue:
-    def test_fifo_order(self):
-        q = DropTailQueue(10)
-        packets = [pkt() for _ in range(3)]
-        for p in packets:
-            assert q.push(p)
-        assert [q.pop() for _ in range(3)] == packets
-
-    def test_drop_when_full(self):
-        q = DropTailQueue(2)
-        assert q.push(pkt())
-        assert q.push(pkt())
-        assert not q.push(pkt())
-        assert q.dropped == 1
-        assert len(q) == 2
-
-    def test_pop_empty_returns_none(self):
-        assert DropTailQueue(1).pop() is None
-
-    def test_full_flag(self):
-        q = DropTailQueue(1)
-        assert not q.full
-        q.push(pkt())
-        assert q.full
-
-    def test_invalid_limit(self):
-        with pytest.raises(ValueError):
-            DropTailQueue(0)
-
-    def test_clear(self):
-        q = DropTailQueue(5)
-        q.push(pkt())
-        q.clear()
-        assert len(q) == 0
+from repro.pushback.ratelimit import TokenBucket
 
 
 class TestTokenBucket:
@@ -98,126 +57,3 @@ class TestTokenBucket:
                 admitted_bits += size * 8
             now += gap
         assert admitted_bits <= burst + rate * now + 1e-6
-
-
-class TestDropRateEstimator:
-    def test_rate_of_completed_window(self):
-        est = DropRateEstimator(window=1.0)
-        for i in range(8):
-            est.record(0.1 * i, dropped=(i % 2 == 0))
-        assert est.rate(1.5) == pytest.approx(0.5)
-
-    def test_empty_window_rate_zero(self):
-        est = DropRateEstimator(window=1.0)
-        est.record(0.5, dropped=True)
-        # Window [1, 2) had no arrivals.
-        assert est.rate(2.5) == 0.0
-
-    def test_rolls_multiple_windows(self):
-        est = DropRateEstimator(window=1.0)
-        est.record(0.0, dropped=True)
-        est.record(5.0, dropped=False)
-        assert est.rate(5.0) == 0.0  # last completed window was empty
-
-    def test_invalid_window(self):
-        with pytest.raises(ValueError):
-            DropRateEstimator(0.0)
-
-
-class TestREDQueue:
-    def _fill(self, q, n, size=100):
-        from repro.sim.packet import Packet as P
-
-        pushed = 0
-        for _ in range(n):
-            if q.push(P(1, 2, size)):
-                pushed += 1
-        return pushed
-
-    def test_no_early_drops_below_min_threshold(self):
-        from repro.sim.queues import REDQueue
-
-        q = REDQueue(limit=100, min_th=25, max_th=75)
-        # Push/pop keeps the queue shallow: avg never crosses min_th.
-        for _ in range(200):
-            q.push(pkt())
-            q.pop()
-        assert q.early_drops == 0
-
-    def test_early_drops_under_sustained_overload(self):
-        from repro.sim.queues import REDQueue
-
-        q = REDQueue(limit=100, min_th=5, max_th=20, weight=0.2)
-        self._fill(q, 500)
-        assert q.early_drops > 0
-        assert len(q) <= 100
-
-    def test_forced_drop_above_max_threshold(self):
-        from repro.sim.queues import REDQueue
-
-        q = REDQueue(limit=50, min_th=2, max_th=10, weight=1.0)
-        self._fill(q, 49)
-        # avg tracks instantaneous length (weight=1): above max_th every
-        # arrival is dropped.
-        assert not q.push(pkt())
-
-    def test_average_tracks_ewma(self):
-        from repro.sim.queues import REDQueue
-
-        q = REDQueue(limit=100, min_th=90, max_th=99, weight=0.5)
-        q.push(pkt())
-        q.push(pkt())
-        # avg after two pushes with w=0.5: 0*0.5 -> 0.0, then 0.5*0+0.5*1
-        assert 0.0 <= q.avg <= 1.0
-
-    def test_physical_limit_still_enforced(self):
-        from repro.sim.queues import REDQueue
-
-        q = REDQueue(limit=10, min_th=8, max_th=10, weight=0.001)
-        pushed = self._fill(q, 100)
-        assert pushed <= 10
-
-    def test_deterministic_given_seed(self):
-        from repro.sim.queues import REDQueue
-
-        def run(seed):
-            q = REDQueue(limit=50, min_th=5, max_th=20, weight=0.2, seed=seed)
-            return self._fill(q, 300)
-
-        assert run(1) == run(1)
-
-    def test_parameter_validation(self):
-        from repro.sim.queues import REDQueue
-
-        with pytest.raises(ValueError):
-            REDQueue(limit=10, min_th=8, max_th=5)
-        with pytest.raises(ValueError):
-            REDQueue(limit=10, max_p=0.0)
-        with pytest.raises(ValueError):
-            REDQueue(limit=10, weight=0.0)
-
-
-class TestREDInNetwork:
-    def test_red_qdisc_on_link(self):
-        import networkx as nx
-
-        from repro.sim.network import Network
-        from repro.sim.queues import REDQueue
-
-        g = nx.Graph()
-        g.add_node(0, role="host")
-        g.add_node(1, role="host")
-        g.add_edge(0, 1, bandwidth=1e6, delay=0.001, qlimit=20, qdisc="red")
-        net = Network.from_graph(g)
-        assert isinstance(net.links[0].ab.queue, REDQueue)
-        assert isinstance(net.links[0].ba.queue, REDQueue)
-        # The two directions have independent queues.
-        assert net.links[0].ab.queue is not net.links[0].ba.queue
-
-    def test_unknown_qdisc_rejected(self):
-        from repro.sim.network import Network
-
-        net = Network()
-        a, b = net.add_host(), net.add_host()
-        with pytest.raises(ValueError):
-            net.add_link(a, b, qdisc="codel")
