@@ -14,10 +14,6 @@ Usage::
     python -m repro analyze --scheme progressive --m 10 --p 0.4 --h 10 \
         --r 10 --tau 1 --t-on 3 --t-off 10
     python -m repro stats --scale quick --journal-out run.jsonl
-    python -m repro stats --scale default --stream-out run.stream.jsonl &
-    python -m repro watch run.stream.jsonl
-    python -m repro fig11 --scale default --jobs 4 --stream-dir live/
-    python -m repro watch live/ --once
     python -m repro replay run.jsonl
     python -m repro replay --check serial.jsonl pool.jsonl
     python -m repro report run.jsonl --html report.html
@@ -35,16 +31,6 @@ registry, causal event journal, and engine self-profile — as JSON.
 canonical JSONL form (``repro.journal/1``).  ``stats`` runs the
 standard quick scenario under full observability and prints the
 human-readable telemetry dump, session timelines included.
-
-``--stream-out FILE`` (on ``stats``) and ``--stream-dir DIR`` (on the
-figure and ``sweep`` commands) arm the in-run telemetry streamer: the
-simulation appends live ``repro.stream/1`` snapshots as it executes
-and mirrors the latest state into an OpenMetrics textfile
-(``FILE.prom``).  ``watch`` tails a stream file — or a pool artifact
-directory, merging every per-task stream with the supervisor's worker
-liveness — as a refreshing terminal view (``--once`` prints a single
-frame).  Streaming never perturbs results: the journal is
-byte-identical with streaming on or off.
 
 ``replay`` reconstructs the traceback tree from a journal alone
 (``--check A B`` structurally diffs two journals and exits nonzero
@@ -136,7 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
             "workers (default: $REPRO_JOBS, else serial); results are "
             "identical to a serial run",
         )
-        _add_stream_dir_args(p)
 
     w = sub.add_parser(
         "sweep",
@@ -227,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
         "task; worker tables merge into the --metrics-out artifact "
         "(implies instrumentation when set with --metrics-out)",
     )
-    _add_stream_dir_args(w)
 
     # Listed here for `repro --help` only: main() hands everything
     # after `lint` to repro.lint.runner.main, which owns the options.
@@ -268,22 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         default=None,
         help="also write the causal event journal as JSONL",
-    )
-    s.add_argument(
-        "--stream-out",
-        metavar="FILE",
-        default=None,
-        help="stream live repro.stream/1 snapshots (plus an OpenMetrics "
-        "textfile FILE.prom) to FILE while the run executes; follow "
-        "with `repro watch FILE`",
-    )
-    s.add_argument(
-        "--stream-interval",
-        type=float,
-        default=None,
-        metavar="SIM_SECONDS",
-        help="snapshot interval in simulated seconds (default: 5); "
-        "a 2 s wall-clock cap bounds the gap when sim time crawls",
     )
 
     pf = sub.add_parser(
@@ -375,38 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
         "kinds",
         help="print the repro.journal/1 event-kind vocabulary "
         "(the closed schema gated by lint rules RPL301-302)",
-    )
-
-    wt = sub.add_parser(
-        "watch",
-        help="live terminal view of a telemetry stream file or a pool "
-        "artifact directory",
-    )
-    wt.add_argument(
-        "path",
-        metavar="PATH",
-        help="a .stream.jsonl file, or a directory of per-task streams "
-        "(with the supervisor's pool.status.json)",
-    )
-    wt.add_argument(
-        "--once",
-        action="store_true",
-        help="print a single snapshot frame and exit",
-    )
-    wt.add_argument(
-        "--refresh",
-        type=float,
-        default=1.0,
-        metavar="SECONDS",
-        help="redraw interval in follow mode (default: 1.0)",
-    )
-    wt.add_argument(
-        "--frames",
-        type=int,
-        default=None,
-        metavar="N",
-        help="stop after N redraws (default: follow until the stream "
-        "ends); useful for smoke tests",
     )
 
     rp = sub.add_parser(
@@ -577,14 +513,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _run_critical_command(args)
     if args.command == "kinds":
         return _run_kinds_command()
-    if args.command == "watch":
-        from .obs.watch import watch_follow, watch_once
-
-        if args.once:
-            return watch_once(args.path)
-        return watch_follow(
-            args.path, refresh=args.refresh, iterations=args.frames
-        )
     if args.command == "stats":
         from dataclasses import replace
 
@@ -597,13 +525,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             replace(_scenario_base(args.scale), defense=args.defense),
             args,
         )
-        interval = _stream_interval(args)
-        stream = None
-        if args.stream_out:
-            from .obs.stream import StreamConfig
-
-            stream = StreamConfig(path=args.stream_out, interval=interval)
-        result = run_tree_scenario(params, telemetry=telemetry, stream=stream)
+        result = run_tree_scenario(params, telemetry=telemetry)
         # Write the artifacts before printing: stdout may be a closed
         # pipe (`... | head`), and the artifacts must survive that.
         path = telemetry.write(args.metrics_out) if args.metrics_out else None
@@ -618,21 +540,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 print(f"telemetry artifact written to {path}")
             if journal_path:
                 print(f"journal written to {journal_path}")
-            if stream is not None:
-                print(f"stream written to {stream.path}")
         except BrokenPipeError:
             pass
         return 0
     jobs = _resolve_jobs(args)
-    stream = _stream_spec(args)
     telemetry = None
     if getattr(args, "metrics_out", None) or getattr(args, "journal_out", None):
         from .obs import Telemetry
 
         telemetry = Telemetry()
-    text = figure(
-        args.command, args.scale, telemetry=telemetry, jobs=jobs, stream=stream
-    )
+    text = figure(args.command, args.scale, telemetry=telemetry, jobs=jobs)
     path = (
         telemetry.write(args.metrics_out)
         if telemetry is not None and args.metrics_out
@@ -694,50 +611,6 @@ def _apply_policy_args(base, args):
     return replace(base, **kwargs)
 
 
-def _add_stream_dir_args(p: argparse.ArgumentParser) -> None:
-    """``--stream-dir``/``--stream-interval`` for multi-run commands."""
-    p.add_argument(
-        "--stream-dir",
-        metavar="DIR",
-        default=None,
-        help="arm one live repro.stream/1 telemetry stream per scenario "
-        "run under DIR (watch them with `repro watch DIR`); pooled runs "
-        "also maintain a live pool.status.json there",
-    )
-    p.add_argument(
-        "--stream-interval",
-        type=float,
-        default=None,
-        metavar="SIM_SECONDS",
-        help="snapshot interval in simulated seconds (default: 5); "
-        "a 2 s wall-clock cap bounds the gap when sim time crawls",
-    )
-
-
-def _stream_interval(args) -> float:
-    """``--stream-interval`` (default 5 sim-seconds), checked by
-    :class:`~repro.obs.stream.StreamConfig` before any scenario runs:
-    a bad value would otherwise fail in every task."""
-    from .obs.stream import DEFAULT_INTERVAL, StreamConfig, StreamError
-
-    interval = args.stream_interval
-    if interval is None:
-        return DEFAULT_INTERVAL
-    try:
-        StreamConfig(path="", interval=interval)
-    except StreamError as exc:
-        raise SystemExit(f"error: --stream-interval: {exc}") from None
-    return interval
-
-
-def _stream_spec(args) -> Optional[dict]:
-    """The ``{"dir", "interval"}`` stream spec from ``--stream-dir``."""
-    interval = _stream_interval(args)
-    if not args.stream_dir:
-        return None
-    return {"dir": args.stream_dir, "interval": interval}
-
-
 def _resolve_jobs(args) -> int:
     """``--jobs``, else ``$REPRO_JOBS``, else 1; a malformed
     ``$REPRO_JOBS`` is a usage error, not a traceback."""
@@ -784,7 +657,6 @@ def _run_sweep_command(args) -> int:
     )
     values = _parse_sweep_values(base, args.field, args.values)
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-    stream = _stream_spec(args)
     try:
         config = PoolConfig(
             jobs=resolve_jobs(args.jobs),
@@ -817,7 +689,6 @@ def _run_sweep_command(args) -> int:
         checkpoint=checkpoint,
         on_outcome=progress,
         telemetry=telemetry,
-        stream=stream,
         profile=args.profile,
     )
     path = write_json(args.out, run.artifact()) if args.out else None

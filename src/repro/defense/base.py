@@ -40,16 +40,6 @@ class Defense(ABC):
         """Post-run statistics (captures, messages, ...)."""
         return {}
 
-    def stream_sample(self) -> Dict[str, Any]:
-        """A flat dict of live gauges for in-run streaming.
-
-        Sampled by :class:`repro.obs.stream.TelemetryStreamer` at
-        snapshot cadence (never per event); must only *read* defense
-        state — the journal-identity guarantee of streaming rests on
-        every sample source being side-effect free.
-        """
-        return {}
-
 
 class NoDefense(Defense):
     """Baseline: the network runs with plain drop-tail FIFO queues."""

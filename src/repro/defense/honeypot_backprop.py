@@ -50,10 +50,6 @@ class HoneypotBackpropDefense(Defense):
         self.router_agents: List[BackpropRouterAgent] = []
         self.server_agents: List[HoneypotServerAgent] = []
         self.captures: List[CaptureRecord] = []
-        # router addr -> hop depth from the server access router; set by
-        # the scenario (which owns the topology) so stream_sample() can
-        # report how deep the back-propagation frontier has reached.
-        self.frontier_depth_of: Optional[Callable[[int], Optional[int]]] = None
         # Notified (in registration order) on every capture, after it is
         # appended to ``captures``.  The scenario uses this for the
         # stage-two reflector traceback journal event.
@@ -113,43 +109,6 @@ class HoneypotBackpropDefense(Defense):
         """
         attackers = set(attacker_addrs)
         return [c for c in self.captures if c.host_addr not in attackers]
-
-    def stream_sample(self) -> Dict[str, Any]:
-        """Live capture/frontier gauges for the telemetry streamer.
-
-        Read-only by contract: counts sessions, blocked ports, and
-        captures as they stand — the capture *progress curve* the paper
-        reports, observable while it is being drawn.
-        """
-        engaged = [a for a in self.router_agents if a.sessions]
-        sample: Dict[str, Any] = {
-            "captures": len(self.captures),
-            "routers_engaged": len(engaged),
-            "sessions_active": sum(len(a.sessions) for a in engaged),
-            "ports_blocked": sum(
-                len(a.port_filter.blocked_hosts) for a in self.router_agents
-            ),
-            "honeypot_hits": sum(a.honeypot_hits for a in self.server_agents),
-        }
-        if self.known_reflectors:
-            # Two-stage traceback progress: stage one captures the
-            # reflectors the signature points at; anything else captured
-            # is a true source (stage two / direct).
-            reflectors = sum(
-                1 for c in self.captures if c.host_addr in self.known_reflectors
-            )
-            sample["reflector_captures"] = reflectors
-            sample["source_captures"] = len(self.captures) - reflectors
-        depth_of = self.frontier_depth_of
-        if depth_of is not None and engaged:
-            depths = [
-                d
-                for d in (depth_of(a.router.addr) for a in engaged)
-                if d is not None
-            ]
-            if depths:
-                sample["frontier_depth"] = max(depths)
-        return sample
 
     def stats(self) -> Dict[str, Any]:
         stats: Dict[str, Any] = {

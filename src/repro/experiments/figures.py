@@ -40,9 +40,7 @@ def _scenario_base(scale: str) -> TreeScenarioParams:
     return base
 
 
-def fig5(
-    scale: str = "default", telemetry=None, jobs=None, stream=None
-) -> str:
+def fig5(scale: str = "default", telemetry=None, jobs=None) -> str:
     m, p, h, r, tau = 10.0, 0.4, 10, 10.0, 1.0
     lines = [
         "Fig. 5 — analytical capture time, progressive back-propagation",
@@ -57,9 +55,7 @@ def fig5(
     return "\n".join(lines)
 
 
-def fig6(
-    scale: str = "default", telemetry=None, jobs=None, stream=None
-) -> str:
+def fig6(scale: str = "default", telemetry=None, jobs=None) -> str:
     runs = 3 if scale == "quick" else 8
     base = ValidationParams(hops=10, p=0.3, epoch_len=10.0, runs=runs, seed=7)
     lines = ["Fig. 6 — Eq. (3) validation (sim mean vs m/p bound)"]
@@ -78,9 +74,7 @@ def fig6(
     return "\n".join(lines)
 
 
-def fig7(
-    scale: str = "default", telemetry=None, jobs=None, stream=None
-) -> str:
+def fig7(scale: str = "default", telemetry=None, jobs=None) -> str:
     n_leaves = 100 if scale == "quick" else 400
     topo = build_tree_topology(
         TreeParams(n_leaves=n_leaves), RngRegistry(0).stream("fig7.topology")
@@ -102,9 +96,7 @@ def fig7(
     return "\n".join(lines)
 
 
-def fig8(
-    scale: str = "default", telemetry=None, jobs=None, stream=None
-) -> str:
+def fig8(scale: str = "default", telemetry=None, jobs=None) -> str:
     base = _scenario_base(scale)
     lines = [
         "Fig. 8 — legitimate throughput (%) over time, "
@@ -120,7 +112,6 @@ def fig8(
         jobs=jobs,
         telemetry=telemetry,
         instrument=lambda name: telemetry is not None and name == "honeypot",
-        stream=stream,
     )
     lines.append("t(s)  " + "  ".join(f"{n:>9s}" for n in results))
     times = results["none"].times
@@ -144,17 +135,13 @@ def fig8(
     return "\n".join(lines)
 
 
-def fig9(
-    scale: str = "default", telemetry=None, jobs=None, stream=None
-) -> str:
+def fig9(scale: str = "default", telemetry=None, jobs=None) -> str:
     return "Fig. 9 — simulation parameters\n" + render_table(
         ["parameter", "values studied", "default"], PARAMETER_TABLE
     )
 
 
-def fig10(
-    scale: str = "default", telemetry=None, jobs=None, stream=None
-) -> str:
+def fig10(scale: str = "default", telemetry=None, jobs=None) -> str:
     base = _scenario_base(scale)
     placements = ("far", "even", "close")
     defenses = ("honeypot", "pushback", "none")
@@ -167,7 +154,6 @@ def fig10(
         jobs=jobs,
         telemetry=telemetry,
         instrument=lambda key: telemetry is not None and key[1] == "honeypot",
-        stream=stream,
     )
     rows = [
         [p] + [f"{results[(p, d)].legit_pct_during_attack:.1f}" for d in defenses]
@@ -178,9 +164,7 @@ def fig10(
     )
 
 
-def fig11(
-    scale: str = "default", telemetry=None, jobs=None, stream=None
-) -> str:
+def fig11(scale: str = "default", telemetry=None, jobs=None) -> str:
     base = replace(_scenario_base(scale), attacker_rate=0.5e6)
     counts = (5, 25) if scale == "quick" else (5, 10, 25, 50)
     defenses = ("honeypot", "pushback", "none")
@@ -193,7 +177,6 @@ def fig11(
         jobs=jobs,
         telemetry=telemetry,
         instrument=lambda key: telemetry is not None and key[1] == "honeypot",
-        stream=stream,
     )
     rows = [
         [n] + [f"{results[(n, d)].legit_pct_during_attack:.1f}" for d in defenses]
@@ -204,9 +187,7 @@ def fig11(
     )
 
 
-def policies(
-    scale: str = "default", telemetry=None, jobs=None, stream=None
-) -> str:
+def policies(scale: str = "default", telemetry=None, jobs=None) -> str:
     """Capture-rate curves per adversary policy (beyond the paper).
 
     Runs every :data:`~repro.traffic.policies.POLICY_NAMES` policy
@@ -233,7 +214,6 @@ def policies(
         jobs=jobs,
         telemetry=telemetry,
         instrument=lambda name: telemetry is not None,
-        stream=stream,
     )
     horizon = base.attack_end - base.attack_start
     steps = [horizon * i / 8.0 for i in range(1, 9)]
@@ -299,7 +279,6 @@ def figure(
     scale: str = "default",
     telemetry=None,
     jobs=None,
-    stream=None,
 ) -> str:
     """Regenerate one figure by name ('fig5' ... 'fig11').
 
@@ -308,10 +287,6 @@ def figure(
     and ignore it.  ``jobs`` fans the figure's independent scenario
     runs out over a :mod:`repro.parallel` worker pool (default:
     ``$REPRO_JOBS`` or serial); results are identical either way.
-    ``stream`` (a ``{"dir", "interval", "wall_cap"}`` dict) arms one
-    live telemetry stream per scenario run under ``dir`` — watch them
-    with ``repro watch DIR``; figures without a simulation component
-    accept and ignore it.
     """
     try:
         fn = FIGURES[name]
@@ -319,4 +294,4 @@ def figure(
         raise ValueError(
             f"unknown figure {name!r}; choose from {sorted(FIGURES)}"
         ) from None
-    return fn(scale, telemetry=telemetry, jobs=jobs, stream=stream)
+    return fn(scale, telemetry=telemetry, jobs=jobs)

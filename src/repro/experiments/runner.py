@@ -100,39 +100,16 @@ def result_from_dict(d: Dict[str, Any]) -> TreeScenarioResult:
     )
 
 
-def _stream_config_for(stream: Optional[Dict[str, Any]], task_id: str):
-    """Per-task :class:`~repro.obs.stream.StreamConfig` (or None).
-
-    ``stream`` is the plain-dict form that crosses the pool's pickle
-    boundary: ``{"dir": ..., "interval": ..., "wall_cap": ...}`` — each
-    task gets its own ``<task>.stream.jsonl`` under ``dir``, which is
-    also where the supervisor maintains ``pool.status.json``.
-    """
-    if not stream:
-        return None
-    from ..obs.stream import StreamConfig, stream_path_for
-
-    kwargs: Dict[str, Any] = {}
-    if stream.get("interval") is not None:
-        kwargs["interval"] = float(stream["interval"])
-    if "wall_cap" in stream:
-        kwargs["wall_cap"] = stream["wall_cap"]
-    return StreamConfig(
-        path=stream_path_for(stream["dir"], task_id), **kwargs
-    )
-
-
 def run_scenario_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Pool task function: one scenario run -> JSON-ready envelope.
 
     Module-level so worker processes can unpickle it by reference.
     ``payload`` is ``{"params": TreeScenarioParams, "telemetry": bool,
-    "task": str}`` plus an optional ``"stream"`` dict (see
-    :func:`_stream_config_for`) that arms a live per-task telemetry
-    stream; when telemetry is requested the worker builds its
-    own :class:`~repro.obs.Telemetry` and ships the artifact dict back
-    for the parent to merge (a live telemetry cannot cross the process
-    boundary — its journal clock closes over the worker's simulator).
+    "task": str, "profile": bool}``; when telemetry is requested the
+    worker builds its own :class:`~repro.obs.Telemetry` and ships the
+    artifact dict back for the parent to merge (a live telemetry cannot
+    cross the process boundary — its journal clock closes over the
+    worker's simulator).
     The run is bracketed with ``pool_task_start`` / ``pool_task_finish``
     journal events; the same function runs in-process at ``jobs=1`` and
     in workers otherwise, so every job count yields the same journal.
@@ -148,13 +125,9 @@ def run_scenario_task(payload: Dict[str, Any]) -> Dict[str, Any]:
         telemetry.journal.record(
             "pool_task_start", at=0.0, task=payload.get("task")
         )
-    stream = _stream_config_for(
-        payload.get("stream"), str(payload.get("task") or "run")
-    )
     result = run_tree_scenario(
         params,
         telemetry=telemetry,
-        stream=stream,
         profile=bool(payload.get("profile")) and telemetry is not None,
     )
     if telemetry is not None:
@@ -169,7 +142,6 @@ def _scenario_tasks(
     named_params: Sequence[Tuple[Any, TreeScenarioParams]],
     task_fn: Callable[[Dict[str, Any]], Dict[str, Any]],
     instrument: Callable[[Any], bool],
-    stream: Optional[Dict[str, Any]],
     profile: bool,
 ) -> List[Task]:
     """One pool task per ``(key, params)`` pair, under id ``str(key)``."""
@@ -181,7 +153,6 @@ def _scenario_tasks(
                 "params": params,
                 "telemetry": bool(instrument(key)),
                 "task": str(key),
-                "stream": stream,
                 "profile": profile,
             },
         )
@@ -220,17 +191,13 @@ def _run_batch(
     jobs: Optional[int],
     pool_config: Optional[PoolConfig],
     telemetry: Any,
-    stream: Optional[Dict[str, Any]],
     checkpoint: Optional[SweepCheckpoint] = None,
     on_outcome: Optional[Callable[[Any], None]] = None,
 ) -> PoolReport:
     """Run scenario ``tasks`` through :func:`run_tasks`, then absorb
     their telemetry artifacts into ``telemetry`` in *task* order (never
-    completion order).  With a ``stream`` the pool's live
-    ``pool.status.json`` goes to ``stream["dir"]``."""
+    completion order)."""
     config = pool_config or PoolConfig(jobs=resolve_jobs(jobs))
-    if stream and config.status_dir is None:
-        config = replace(config, status_dir=stream["dir"])
     _discard_stale(checkpoint, tasks)
     report = run_tasks(tasks, config, checkpoint=checkpoint, on_outcome=on_outcome)
     if telemetry is not None:
@@ -247,7 +214,6 @@ def run_many(
     pool_config: Optional[PoolConfig] = None,
     telemetry: Any = None,
     instrument: Optional[Callable[[Any], bool]] = None,
-    stream: Optional[Dict[str, Any]] = None,
     profile: bool = False,
 ) -> Dict[Any, TreeScenarioResult]:
     """Run several named scenarios as one batch of pool tasks.
@@ -256,12 +222,9 @@ def run_many(
     all, when a telemetry is given); each instrumented run builds its
     own telemetry and the artifacts are absorbed in ``named_params``
     order, so the consolidated artifact is the same at every job count.
-    ``stream`` (a ``{"dir", "interval", "wall_cap"}`` dict) arms one
-    live telemetry stream per run under ``dir``, where the pool also
-    maintains the merged ``pool.status.json`` view.  ``profile=True``
-    enables per-dimension engine attribution on every instrumented run;
-    the dimension tables merge into ``telemetry`` alongside the scalar
-    engine counters.  A raising run is retried up to
+    ``profile=True`` enables per-dimension engine attribution on every
+    instrumented run; the dimension tables merge into ``telemetry``
+    alongside the scalar engine counters.  A raising run is retried up to
     ``PoolConfig.max_attempts``; raises if any run is quarantined —
     figures need every cell.
     """
@@ -270,9 +233,9 @@ def run_many(
     elif instrument is None:
         instrument = lambda key: True
     tasks = _scenario_tasks(
-        list(named_params.items()), run_scenario_task, instrument, stream, profile
+        list(named_params.items()), run_scenario_task, instrument, profile
     )
-    report = _run_batch(tasks, jobs, pool_config, telemetry, stream)
+    report = _run_batch(tasks, jobs, pool_config, telemetry)
     if not report.ok:
         details = "; ".join(
             f"{t}: {report.outcomes[t].error}".splitlines()[0]
@@ -295,7 +258,6 @@ def plan_sweep_tasks(
     seeds: Sequence[int],
     task_fn: Callable[[Dict[str, Any]], Dict[str, Any]] = run_scenario_task,
     telemetry: bool = False,
-    stream: Optional[Dict[str, Any]] = None,
     profile: bool = False,
 ) -> List[Task]:
     """One task per (value, seed) pair, under stable ids.
@@ -303,10 +265,9 @@ def plan_sweep_tasks(
     Ids are pure functions of the sweep coordinates — never of order or
     worker — so checkpoints match across runs and duplicate (value,
     seed) pairs are rejected by the pool.  ``telemetry=True`` makes
-    every task build and ship back a telemetry artifact; ``stream``
-    arms one live per-task telemetry stream under its ``dir``;
-    ``profile=True`` adds per-dimension engine attribution to each
-    instrumented task's artifact.
+    every task build and ship back a telemetry artifact; ``profile=True``
+    adds per-dimension engine attribution to each instrumented task's
+    artifact.
     """
     if not hasattr(base, field_name):
         raise ValueError(f"unknown sweep field {field_name!r}")
@@ -316,7 +277,7 @@ def plan_sweep_tasks(
         for v in values
         for s in seeds
     ]
-    return _scenario_tasks(named, task_fn, lambda key: telemetry, stream, profile)
+    return _scenario_tasks(named, task_fn, lambda key: telemetry, profile)
 
 
 @dataclass
@@ -371,7 +332,6 @@ def run_sweep(
     task_fn: Callable[[Dict[str, Any]], Dict[str, Any]] = run_scenario_task,
     on_outcome: Optional[Callable[[Any], None]] = None,
     telemetry: Any = None,
-    stream: Optional[Dict[str, Any]] = None,
     profile: bool = False,
 ) -> SweepRun:
     """Sweep one parameter over ``seeds``; quarantine-tolerant.
@@ -381,10 +341,7 @@ def run_sweep(
     ``report.exit_code`` reflects partial failure.  A ``checkpoint``
     resumes the tasks it holds, unless they were recorded under other
     params.  With a ``telemetry``, every task is instrumented and the
-    artifacts are absorbed in task order.  With a ``stream`` dict every
-    task writes a live ``<task>.stream.jsonl`` under ``stream["dir"]``
-    next to the pool's ``pool.status.json`` (watch with
-    ``repro watch DIR``).
+    artifacts are absorbed in task order.
     """
     values = list(values)
     seeds = [int(s) for s in seeds]
@@ -395,11 +352,10 @@ def run_sweep(
         seeds,
         task_fn=task_fn,
         telemetry=telemetry is not None,
-        stream=stream,
         profile=profile,
     )
     report = _run_batch(
-        tasks, jobs, pool_config, telemetry, stream, checkpoint, on_outcome
+        tasks, jobs, pool_config, telemetry, checkpoint, on_outcome
     )
     return SweepRun(
         base=base,

@@ -206,7 +206,7 @@ def _build_defense(
 
 
 def run_tree_scenario(
-    params: TreeScenarioParams, telemetry=None, stream=None, profile=False
+    params: TreeScenarioParams, telemetry=None, profile=False
 ) -> TreeScenarioResult:
     """Build, run, and measure one tree-scenario simulation.
 
@@ -215,13 +215,6 @@ def run_tree_scenario(
     events, the monitor counts per-class deliveries, the engine
     self-profiles, and the network's counters are snapshotted into the
     registry after the run.  With None (the default) nothing is instrumented.
-
-    ``stream`` (a :class:`repro.obs.stream.StreamConfig` or None) adds
-    live in-run snapshots: a :class:`~repro.obs.stream.TelemetryStreamer`
-    is armed on the simulator and fed the defense's live gauges plus a
-    run-progress source.  Streaming only reads — the causal journal is
-    byte-identical with or without it.  A bare ``stream`` implies a
-    private :class:`~repro.obs.Telemetry` so rates can be computed.
 
     ``profile=True`` (requires ``telemetry``) enables the engine's
     dimensional attribution: per-event wall-time charged to callback
@@ -275,47 +268,9 @@ def run_tree_scenario(
         telemetry.bind(net.sim)
         if profile:
             telemetry.profiler.enable_dimensions()
-    streamer = None
-    if stream is not None:
-        from ..obs import Telemetry
-        from ..obs.stream import TelemetryStreamer
-
-        hub = telemetry
-        if hub is None:
-            # Streaming needs a registry/profiler to report rates from;
-            # a private hub instruments the run without changing what
-            # the caller receives.
-            hub = Telemetry()
-            hub.bind(net.sim)
-        streamer = TelemetryStreamer(hub, stream).attach(net.sim)
-        hub.streamer = streamer
     defense, pool, service = _build_defense(params, net, topo, rngs)
     defense.use_telemetry(telemetry)
     defense.attach(net)
-    if streamer is not None:
-        if isinstance(defense, HoneypotBackpropDefense):
-            import networkx as nx
-
-            # Hop depth of every router from the server access router:
-            # the frontier gauge reports how deep back-propagation has
-            # pushed toward the attackers.
-            depths = nx.single_source_shortest_path_length(
-                topo.graph, topo.server_router_id
-            )
-            defense.frontier_depth_of = depths.get
-        sim = net.sim
-
-        def _progress() -> Dict[str, Any]:
-            return {
-                "defense": params.defense,
-                "duration": params.duration,
-                "pct_complete": round(100.0 * sim.now / params.duration, 2),
-                "attackers_total": params.n_attackers,
-                "seed": params.seed,
-            }
-
-        streamer.add_source("progress", _progress)
-        streamer.add_source("defense", defense.stream_sample)
 
     # --- Amplifiers (reflection workload) ------------------------------
     journal = telemetry.journal if telemetry is not None else None
@@ -451,12 +406,7 @@ def run_tree_scenario(
     )
     monitor.start()
 
-    try:
-        net.run(until=params.duration)
-    except BaseException:
-        if streamer is not None:
-            streamer.close()
-        raise
+    net.run(until=params.duration)
 
     legit_pct = monitor.percent_of("legit", params.bottleneck_bw)
     attack_pct = monitor.percent_of("attack", params.bottleneck_bw)
@@ -499,13 +449,6 @@ def run_tree_scenario(
             "reflector_captures": reflector_captures,
             "traced_sources": sum(len(v) for v in traced_sources.values()),
         }
-
-    if streamer is not None:
-        # Final snapshot *after* the post-run registry fold, so the last
-        # stream record (and the textfile) carries the complete totals.
-        if telemetry is None:
-            streamer.telemetry.snapshot_network(net)
-        streamer.close()
 
     return TreeScenarioResult(
         params=params,

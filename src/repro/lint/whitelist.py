@@ -43,15 +43,6 @@ WHITELIST: Dict[str, Dict[str, str]] = {
             "observability never feeds back into simulation state"
         ),
     },
-    "repro/obs/stream.py": {
-        "RPL002": (
-            "the streamer's wall-clock flush cap (time.monotonic, read "
-            "once per engine observer stride) decides only *when* a "
-            "snapshot is written, never what the simulation computes; "
-            "the journal byte-identity test (streaming on vs off) "
-            "enforces that the clock cannot leak into results"
-        ),
-    },
     "repro/parallel/": {
         "RPL002": (
             "the worker pool times out and retries real subprocesses, "

@@ -12,18 +12,12 @@ so every run can leave a machine-readable artifact.
 and benchmarks thread through the stack; components treat a ``None``
 telemetry as "observability off" and skip all instrumentation.
 
-:mod:`repro.obs.stream` adds the *live* dimension: a
-:class:`TelemetryStreamer` the engine pulses during the run, appending
-``repro.stream/1`` snapshots and an OpenMetrics textfile that
-``repro watch`` (:mod:`repro.obs.watch`) renders as a refreshing
-terminal view.  Streaming is strictly read-only — journals are
-byte-identical with it on or off.
-
 :mod:`repro.obs.critical` and :mod:`repro.obs.traceexport` are the
 *replay-side* analysis layer: work/span/available-parallelism and
 per-capture causal chains over the journal, and Chrome trace-event
 export for Perfetto — both computed from journal files after the run,
-never from the engine.
+never from the engine.  Nothing is exported while a run executes: the
+journal and the ``--metrics-out`` artifact hold its facts once it ends.
 """
 
 from .critical import (
@@ -35,10 +29,8 @@ from .critical import (
 from .export import (
     load_json,
     parse_exposition,
-    registry_to_openmetrics,
     registry_to_prometheus,
     write_json,
-    write_textfile_atomic,
 )
 from .journal import (
     JOURNAL_SCHEMA,
@@ -68,30 +60,12 @@ from .registry import (
     Histogram,
     MetricsRegistry,
 )
-from .stream import (
-    STREAM_SCHEMA,
-    StreamConfig,
-    StreamError,
-    TelemetryStreamer,
-    read_stream,
-    stream_path_for,
-    tail_record,
-    validate_stream,
-)
 from .telemetry import Telemetry
 from .traceexport import (
     TRACE_SCHEMA,
     journal_to_trace,
     validate_trace,
     write_trace,
-)
-from .watch import (
-    POOL_STATUS_FILE,
-    POOL_STATUS_SCHEMA,
-    render_pool_view,
-    render_snapshot,
-    watch_follow,
-    watch_once,
 )
 
 __all__ = [
@@ -106,16 +80,10 @@ __all__ = [
     "JournalError",
     "JournalEvent",
     "MetricsRegistry",
-    "POOL_STATUS_FILE",
-    "POOL_STATUS_SCHEMA",
     "REGRESS_SCHEMA",
     "RegressReport",
-    "STREAM_SCHEMA",
-    "StreamConfig",
-    "StreamError",
     "TRACE_SCHEMA",
     "Telemetry",
-    "TelemetryStreamer",
     "build_tree",
     "causal_chain",
     "compare_to_baseline",
@@ -126,24 +94,14 @@ __all__ = [
     "load_journal",
     "load_json",
     "parse_exposition",
-    "read_stream",
     "render_critical",
-    "registry_to_openmetrics",
     "registry_to_prometheus",
     "render_html",
-    "render_pool_view",
-    "render_snapshot",
     "render_timeline",
     "render_tree",
     "replay_summary",
-    "stream_path_for",
-    "tail_record",
-    "validate_stream",
     "validate_trace",
-    "watch_follow",
-    "watch_once",
     "write_json",
-    "write_textfile_atomic",
     "write_trace",
     "write_trajectory_point",
 ]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Union
 
 from .registry import MetricsRegistry
 
@@ -21,9 +21,7 @@ __all__ = [
     "write_json",
     "load_json",
     "registry_to_prometheus",
-    "registry_to_openmetrics",
     "parse_exposition",
-    "write_textfile_atomic",
 ]
 
 
@@ -144,72 +142,20 @@ def registry_to_prometheus(registry: MetricsRegistry, prefix: str = "repro_") ->
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def registry_to_openmetrics(
-    registry: MetricsRegistry,
-    prefix: str = "repro_",
-    extra_lines: Optional[Sequence[str]] = None,
-) -> str:
-    """OpenMetrics textfile body: the Prometheus exposition plus any
-    ``extra_lines`` (pre-formatted samples), terminated by ``# EOF``.
-
-    The ``# EOF`` marker is what distinguishes a complete OpenMetrics
-    textfile from a truncated one — scrapers reject files without it,
-    which is exactly the property an atomically-rewritten live textfile
-    needs.
-    """
-    parts: List[str] = []
-    if extra_lines:
-        parts.extend(extra_lines)
-    body = registry_to_prometheus(registry, prefix=prefix)
-    if body:
-        parts.append(body.rstrip("\n"))
-    parts.append("# EOF")
-    return "\n".join(parts) + "\n"
-
-
-def write_textfile_atomic(path: Union[str, os.PathLike], text: str) -> str:
-    """Write ``text`` to ``path`` via write-temp-then-rename.
-
-    A scraper (or ``repro watch``) reading concurrently sees either the
-    previous complete file or the new complete file, never a torn
-    intermediate — ``os.replace`` is atomic on POSIX and Windows.
-    """
-    path = os.fspath(path)
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    return path
-
-
 def parse_exposition(text: str) -> Dict[str, Any]:
-    """Parse Prometheus/OpenMetrics exposition text back into samples.
+    """Parse Prometheus exposition text back into samples.
 
     Returns ``{"types": {name: kind}, "samples": [{"name", "labels",
-    "value"}, ...], "eof": bool}``.  Label values are unescaped, so a
-    round trip through :func:`registry_to_prometheus` is exact.  Raises
+    "value"}, ...]}``.  Label values are unescaped, so a round trip
+    through :func:`registry_to_prometheus` is exact.  Raises
     :class:`ValueError` on malformed lines — this is the test-side
-    validator for the exposition the streamer and exporters emit.
+    validator for the exposition :func:`registry_to_prometheus` emits.
     """
     types: Dict[str, str] = {}
     samples: List[Dict[str, Any]] = []
-    saw_eof = False
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
-            continue
-        if line == "# EOF":
-            saw_eof = True
             continue
         if line.startswith("# TYPE "):
             fields = line.split()
@@ -230,7 +176,7 @@ def parse_exposition(text: str) -> Dict[str, Any]:
                 f"line {lineno}: non-numeric sample value {value_field[0]!r}"
             ) from None
         samples.append({"name": name, "labels": labels, "value": value})
-    return {"types": types, "samples": samples, "eof": saw_eof}
+    return {"types": types, "samples": samples}
 
 
 def _split_sample(line: str, lineno: int) -> tuple:

@@ -15,9 +15,9 @@ Tracked per simulator, accumulated across ``run()`` calls:
   entries still occupying the heap are excluded).  It is the largest
   live count seen at run start, at each observer slot and at run end,
   so it is a sample: exact with attribution on, which visits the slot
-  after every dispatch, and otherwise possibly a little low.  The slot
-  writes the running mark into :attr:`heap_hwm`, so a live stream
-  reads it mid-run;
+  after every dispatch, and otherwise possibly a little low.  The
+  engine keeps the running mark in a local and hands it to
+  :meth:`note_heap` once, when ``run()`` ends;
 * simulated seconds covered -> wall-time per simulated second.
 
 Dimensional attribution (:meth:`EngineProfiler.enable_dimensions`) adds

@@ -39,9 +39,6 @@ class Telemetry:
         # Free-form run-level payload merged into the artifact (figure
         # series, scenario parameters, capture summaries, ...).
         self.extra: Dict[str, Any] = {}
-        # Live streamer, when one is armed on this run (set by the
-        # scenario); render() surfaces its obs self-cost meter.
-        self.streamer: Optional[Any] = None
         if sim is not None:
             self.bind(sim)
 
@@ -179,14 +176,6 @@ class Telemetry:
             f"  runs               {prof['runs']} "
             f"({prof['wall_time_s']:.2f} s wall)",
         ]
-        streamer = self.streamer
-        if streamer is not None:
-            cost = streamer.self_cost()
-            lines.append(
-                f"  obs self-cost      {cost['self_wall_s']:.4f} s "
-                f"({100.0 * cost['self_frac']:.2f}% of run wall, "
-                f"{int(cost['snapshots'])} snapshots)"
-            )
         return "\n".join(lines)
 
     def render(self) -> str:

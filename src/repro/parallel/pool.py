@@ -19,10 +19,10 @@ failure in its :class:`PoolReport` and keeps draining the queue.
 Callers map ``report.ok`` to an exit code (the CLI uses
 :data:`PARTIAL_FAILURE_EXIT`).
 
-At ``jobs=1`` without a timeout the same retry, quarantine,
-checkpoint and status code runs the tasks in-process, one after
-another, and a failed attempt is described by the same error text, so
-a report reads the same at every job count.  An in-process task cannot
+At ``jobs=1`` without a timeout the same retry, quarantine and
+checkpoint code runs the tasks in-process, one after another, and a
+failed attempt is described by the same error text, so a report reads
+the same at every job count.  An in-process task cannot
 be preempted, so a ``jobs=1`` run with a timeout goes to one
 supervised worker instead.
 
@@ -34,7 +34,6 @@ by task id; merging layers iterate in task-list order.
 
 from __future__ import annotations
 
-import json
 import multiprocessing as mp
 import os
 import time
@@ -45,7 +44,6 @@ from multiprocessing.connection import wait as _conn_wait
 from multiprocessing.context import BaseContext
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from ..obs.export import write_textfile_atomic
 from .tasks import STATUS_OK, STATUS_QUARANTINED, Task, TaskOutcome
 
 __all__ = [
@@ -64,69 +62,6 @@ JOBS_ENV = "REPRO_JOBS"
 
 # Supervisor poll granularity; bounds how late a timeout fires.
 _POLL_S = 0.05
-
-# Minimum seconds between pool.status.json rewrites (the supervisor
-# polls every _POLL_S; rewriting the status at that rate would be
-# wasted I/O nobody can read that fast).
-_STATUS_MIN_INTERVAL_S = 0.5
-
-
-class _PoolStatusWriter:
-    """Maintains the live ``pool.status.json`` of one pool run.
-
-    Schema ``repro.pool-status/1``: worker liveness states and task
-    progress counts.  ``repro watch DIR`` renders them above the tails
-    of the per-task telemetry streams, which it reads itself.  Rewrites
-    are atomic (:func:`~repro.obs.export.write_textfile_atomic`) and
-    throttled; write failures are swallowed so a full disk can never
-    take the sweep down.
-    """
-
-    def __init__(self, directory: str, jobs: int, total: int) -> None:
-        self.directory = directory
-        self.jobs = jobs
-        self.total = total
-        self.done = 0
-        self.quarantined = 0
-        self.resumed = 0
-        self._last = 0.0
-        os.makedirs(directory, exist_ok=True)
-
-    def note(self, outcome: TaskOutcome) -> None:
-        self.done += 1
-        if outcome.status == STATUS_QUARANTINED:
-            self.quarantined += 1
-
-    def write(
-        self,
-        workers: List[Dict[str, Any]],
-        done: bool = False,
-        force: bool = False,
-    ) -> None:
-        now = time.monotonic()
-        if not force and now - self._last < _STATUS_MIN_INTERVAL_S:
-            return
-        self._last = now
-        doc = {
-            "schema": "repro.pool-status/1",
-            "jobs": self.jobs,
-            "done": done,
-            "tasks": {
-                "total": self.total,
-                "done": self.done + self.resumed,
-                "quarantined": self.quarantined,
-                "resumed": self.resumed,
-            },
-            "workers": workers,
-        }
-        path = os.path.join(self.directory, "pool.status.json")
-        try:
-            write_textfile_atomic(
-                path, json.dumps(doc, indent=2, sort_keys=True) + "\n"
-            )
-        except OSError:  # pragma: no cover - disk full etc.
-            pass
-
 
 def resolve_jobs(jobs: Optional[int] = None, env: str = JOBS_ENV) -> int:
     """Effective worker count: explicit argument, else ``$REPRO_JOBS``,
@@ -156,11 +91,6 @@ class PoolConfig:
     jobs: int = 1
     timeout: Optional[float] = None
     max_attempts: int = 2
-    # Directory for the live pool-level view: the supervisor rewrites
-    # ``pool.status.json`` there (worker liveness + task counts) so
-    # `repro watch DIR` can follow a running sweep.  None disables the
-    # writer entirely.
-    status_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.jobs < 1:
@@ -246,11 +176,6 @@ def run_tasks(
     """
     config = config or PoolConfig()
     report = PoolReport()
-    status = (
-        _PoolStatusWriter(config.status_dir, config.jobs, len(tasks))
-        if config.status_dir
-        else None
-    )
     # Outcomes are pre-seeded in task order so the report dict iterates
     # deterministically no matter in which order workers finish.
     seen: set = set()
@@ -269,14 +194,10 @@ def run_tasks(
                 on_outcome(outcome)
         else:
             pending.append((task, 0))
-    if status is not None:
-        status.resumed = len(report.resumed)
 
     def record(outcome: TaskOutcome) -> None:
         report.outcomes[outcome.task_id] = outcome
         report.executed.append(outcome.task_id)
-        if status is not None:
-            status.note(outcome)
         if checkpoint is not None and outcome.ok:
             checkpoint.record(outcome)
         if on_outcome is not None:
@@ -284,11 +205,9 @@ def run_tasks(
 
     if pending:
         if config.jobs == 1 and config.timeout is None:
-            _run_inline(pending, config, record, status)
+            _run_inline(pending, config, record)
         else:
-            _run_pool(pending, config, record, status)
-    if status is not None:
-        status.write(workers=[], done=True, force=True)
+            _run_pool(pending, config, record)
     return report
 
 
@@ -299,19 +218,11 @@ def _run_inline(
     pending: deque,
     config: PoolConfig,
     record: Callable[[TaskOutcome], None],
-    status: Optional[_PoolStatusWriter] = None,
 ) -> None:
     while pending:
         task, attempts = pending.popleft()
         started = time.perf_counter()
         attempts += 1
-        if status is not None:
-            status.write(
-                workers=[
-                    {"slot": 0, "state": "inline", "task": task.task_id,
-                     "busy_s": 0.0}
-                ]
-            )
         try:
             value = task.fn(task.payload)
         except Exception as exc:
@@ -417,23 +328,10 @@ class _Worker:
 # ----------------------------------------------------------------------
 # Supervisor
 # ----------------------------------------------------------------------
-def _worker_states(workers: Sequence[Any], now: float) -> List[Dict[str, Any]]:
-    return [
-        {
-            "slot": i,
-            "state": "busy" if w.task is not None else "idle",
-            "task": w.task.task_id if w.task is not None else None,
-            "busy_s": round(now - w.started, 3) if w.task is not None else 0.0,
-        }
-        for i, w in enumerate(workers)
-    ]
-
-
 def _run_pool(
     pending: deque,
     config: PoolConfig,
     record: Callable[[TaskOutcome], None],
-    status: Optional[_PoolStatusWriter] = None,
 ) -> None:
     ctx = _mp_context()
     n_workers = min(config.jobs, len(pending))
@@ -469,8 +367,6 @@ def _run_pool(
                         w.assign(task, attempts, config.timeout)
                     except (BrokenPipeError, OSError):
                         fail(w, "worker pipe broken at dispatch", respawn_at=i)
-            if status is not None:
-                status.write(_worker_states(workers, time.perf_counter()))
             busy = [w for w in workers if w.task is not None]
             if not busy:
                 continue

@@ -81,7 +81,7 @@ class TokenBucket:
     Pushback's rate limiter does to an aggregate.
     """
 
-    __slots__ = ("rate_bps", "burst_bits", "_tokens", "_last", "admitted", "policed")
+    __slots__ = ("rate_bps", "burst_bits", "_tokens", "_last", "policed")
 
     def __init__(self, rate_bps: float, burst_bits: Optional[float] = None) -> None:
         if rate_bps < 0:
@@ -95,7 +95,6 @@ class TokenBucket:
         self.burst_bits = burst_bits
         self._tokens = burst_bits
         self._last = 0.0
-        self.admitted = 0
         self.policed = 0
 
     def set_rate(self, now: float, rate_bps: float) -> None:
@@ -116,7 +115,6 @@ class TokenBucket:
         bits = size_bytes * 8
         if self._tokens >= bits:
             self._tokens -= bits
-            self.admitted += 1
             return True
         self.policed += 1
         return False
@@ -140,7 +138,6 @@ class AggregateRateLimiter:
         # dst -> bytes policed since the last take_policed_bytes call
         self._policed_bytes: Dict[int, int] = {}
         self.dropped = 0
-        self.passed = 0
 
     # ------------------------------------------------------------------
     def set_limit(self, dst: int, rate_bps: float, now: float) -> None:
@@ -192,7 +189,6 @@ class AggregateRateLimiter:
         acct = self._input_bytes[pkt.dst]
         acct[in_channel] = acct.get(in_channel, 0) + pkt.size
         if bucket.admit(self.sim.now, pkt.size):
-            self.passed += 1
             return False
         self.dropped += 1
         self._policed_bytes[pkt.dst] = self._policed_bytes.get(pkt.dst, 0) + pkt.size

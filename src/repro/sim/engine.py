@@ -20,8 +20,8 @@ Two kinds of entry share the heap and the sequence counter:
   dispatch, which is why packet hops (:mod:`repro.sim.link`) use it.
 
 :meth:`Simulator.run` is the only dispatch loop.  The optional
-observers — the engine profiler, its per-callback attribution and the
-live telemetry streamer (all in :mod:`repro.obs`) — share one slot in
+observers — the engine profiler's heap high-water sample and its
+per-callback attribution (:mod:`repro.obs.profile`) — share one slot in
 that loop, guarded by one test per event: a compare of the dispatch
 index with the next slot index.  With attribution on the slot runs
 after every dispatch, otherwise once every :data:`OBSERVE_STRIDE`
@@ -48,8 +48,7 @@ from typing import Any, Callable, List, Optional, Tuple
 __all__ = ["Event", "Simulator", "Timer", "SimulationError", "OBSERVE_STRIDE"]
 
 # Dispatches between two visits of the dispatch loop's observer slot
-# (every dispatch visits it while attribution is on), and so between
-# two stream pulses.
+# (every dispatch visits it while attribution is on).
 OBSERVE_STRIDE = 1024
 
 
@@ -128,11 +127,6 @@ class Simulator:
         # brackets each invocation with sim_run_start/sim_run_end
         # journal events.  None costs a single attribute test per run.
         self.journal: Optional[Any] = None
-        # Live streamer (repro.obs.stream.TelemetryStreamer.attach sets
-        # this): run() pulses it every OBSERVE_STRIDE dispatches.
-        # Snapshots only read engine state — never schedule events — so
-        # the journal is identical with or without a stream.
-        self.stream: Optional[Any] = None
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -208,11 +202,10 @@ class Simulator:
         ``OBSERVE_STRIDE``.
 
         The slot samples the live-pending high-water mark (also at run
-        start and end) into the profiler, and pulses the stream every
-        ``OBSERVE_STRIDE`` dispatches.  An attached profiler also gets
-        the run's wall time and event count.  Observers only read
-        engine state, so the dispatch sequence is the same with or
-        without them.
+        start and end), which an attached profiler receives at run end
+        together with the run's wall time and event count.  Observers
+        only read engine state, so the dispatch sequence is the same
+        with or without them.
         """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run())")
@@ -223,7 +216,6 @@ class Simulator:
         heap = self._heap
         hwm = len(heap) - self._cancelled
         prof = self.profiler
-        stream = self.stream
         stride = OBSERVE_STRIDE
         next_slot = stride
         charge = None
@@ -235,7 +227,6 @@ class Simulator:
                 next_slot = 0
             # reprolint: ignore[RPL002] -- profiler
             wall_start = mark = perf_counter()
-        sbase = self.events_processed
         sim_start = self.now
         # Sentinel instead of a per-event None test; time > inf is never
         # true, so the untimed loop pays one float compare.
@@ -274,8 +265,6 @@ class Simulator:
                     # mark.
                     if len(heap) > hwm and len(heap) - self._cancelled > hwm:
                         hwm = len(heap) - self._cancelled
-                        if prof is not None:
-                            prof.heap_hwm = hwm
                     if charge is None:
                         next_slot += stride
                     else:
@@ -283,15 +272,13 @@ class Simulator:
                         now = perf_counter()
                         charge(fn, now - mark)
                         mark = now
-                    if stream is not None and processed % stride == 0:
-                        stream.pulse(self, sbase + processed)
             if until is not None and self.now < until:
                 self.now = until
         finally:
             self._running = False
             self.events_processed += processed
             if prof is not None:
-                prof.note_heap(len(heap) - self._cancelled)
+                prof.note_heap(max(hwm, len(heap) - self._cancelled))
                 prof.record_run(
                     processed,
                     perf_counter() - wall_start,  # reprolint: ignore[RPL002]

@@ -272,21 +272,6 @@ class TestExposition:
         (sample,) = [s for s in doc["samples"] if s["name"] == "repro_m_total"]
         assert sample["labels"]["path"] == evil
 
-    def test_openmetrics_terminated_by_eof(self):
-        from repro.obs.export import parse_exposition, registry_to_openmetrics
-
-        text = registry_to_openmetrics(
-            self._registry(), extra_lines=["# TYPE x gauge", "x 1"]
-        )
-        assert text.endswith("# EOF\n")
-        doc = parse_exposition(text)
-        assert doc["eof"] is True
-        assert any(s["name"] == "x" for s in doc["samples"])
-        # Prometheus exposition alone carries no EOF marker.
-        assert parse_exposition(registry_to_prometheus(self._registry()))[
-            "eof"
-        ] is False
-
     @pytest.mark.parametrize(
         "bad",
         [
@@ -301,28 +286,6 @@ class TestExposition:
 
         with pytest.raises(ValueError):
             parse_exposition(bad)
-
-    def test_textfile_rewrite_is_atomic(self, tmp_path):
-        from repro.obs.export import write_textfile_atomic
-
-        target = tmp_path / "metrics.prom"
-        write_textfile_atomic(target, "v1\n# EOF\n")
-        assert target.read_text() == "v1\n# EOF\n"
-        write_textfile_atomic(target, "v2\n# EOF\n")
-        assert target.read_text() == "v2\n# EOF\n"
-        # No temp-file droppings survive the rewrites.
-        assert [p.name for p in tmp_path.iterdir()] == ["metrics.prom"]
-
-    def test_textfile_write_failure_cleans_up_temp(self, tmp_path, monkeypatch):
-        import repro.obs.export as export
-
-        def boom(src, dst):
-            raise OSError("disk gone")
-
-        monkeypatch.setattr(export.os, "replace", boom)
-        with pytest.raises(OSError):
-            export.write_textfile_atomic(tmp_path / "m.prom", "x\n")
-        assert list(tmp_path.iterdir()) == []
 
 
 class TestTelemetryIntegration:

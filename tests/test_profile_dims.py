@@ -1,12 +1,12 @@
 """Attribution profiler (per-dimension engine accounting): accumulator
-semantics, journal byte-identity with attribution on vs off, and
-pooled-vs-serial dimension merging."""
+semantics, journal byte-identity and outcome identity with observers on
+vs off, and pooled-vs-serial dimension merging."""
 
 from dataclasses import replace
 
 import pytest
 
-from repro.experiments.runner import run_many
+from repro.experiments.runner import result_to_dict, run_many
 from repro.experiments.scenarios import TreeScenarioParams, run_tree_scenario
 from repro.obs import EngineProfiler, Telemetry
 from repro.parallel import strip_volatile
@@ -109,6 +109,19 @@ class TestJournalByteIdentity:
         assert sum(r["events"] for r in rows) == tele.profiler.events
         keys = [(r["kind"], r["module"]) for r in rows]
         assert len(keys) == len(set(keys))  # one row per (kind, module)
+
+    def test_observers_leave_the_outcome_unchanged(self):
+        """Plain, telemetered and attributed runs all go through the one
+        dispatch loop; the outcome is identical."""
+        plain = result_to_dict(run_tree_scenario(TINY))
+        runs = {
+            "telemetry": run_tree_scenario(TINY, telemetry=Telemetry()),
+            "telemetry+profile": run_tree_scenario(
+                TINY, telemetry=Telemetry(), profile=True
+            ),
+        }
+        for name, result in runs.items():
+            assert result_to_dict(result) == plain, name
 
 
 class TestPooledDimensionMerge:
