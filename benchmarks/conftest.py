@@ -7,7 +7,9 @@ prints the rows/series the paper reports.  Output lands in
 headline metrics the benchmark registered via ``report.metric``).
 Every flush also folds the bench's entry into the consolidated
 ``benchmarks/out/summary.json``, so one file carries the whole
-suite's wall-time and headline-metric trajectory.
+suite's wall-time and headline-metric trajectory.  Each entry records
+its bench file, relative to the repo root, and an entry whose file is
+gone is dropped at the next flush.
 """
 
 from __future__ import annotations
@@ -18,18 +20,31 @@ import time
 
 import pytest
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 OUT_DIR = pathlib.Path(__file__).parent / "out"
 SUMMARY_PATH = OUT_DIR / "summary.json"
 
 
 def _update_summary(name: str, entry: dict) -> None:
-    """Load-modify-write one bench's entry in the consolidated summary."""
+    """Load-modify-write one bench's entry in the consolidated summary.
+
+    Entries whose recorded bench file no longer exists, or that record
+    none, are dropped: ``repro regress`` would otherwise gate a deleted
+    bench's stale values, and ``--update-baseline`` would copy them back
+    into the committed baseline."""
     summary = {}
     if SUMMARY_PATH.exists():
         try:
             summary = json.loads(SUMMARY_PATH.read_text())
         except (json.JSONDecodeError, OSError):
             summary = {}
+    summary = {
+        bench: old
+        for bench, old in summary.items()
+        if isinstance(old, dict)
+        and isinstance(old.get("file"), str)
+        and (ROOT / old["file"]).is_file()
+    }
     summary[name] = entry
     SUMMARY_PATH.write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n"
@@ -37,8 +52,9 @@ def _update_summary(name: str, entry: dict) -> None:
 
 
 @pytest.fixture()
-def report():
+def report(request):
     """Collect lines + headline metrics, then print and persist them."""
+    bench_file = pathlib.Path(request.path).resolve().relative_to(ROOT).as_posix()
 
     class Reporter:
         def __init__(self) -> None:
@@ -62,7 +78,11 @@ def report():
             print("\n" + text)
             OUT_DIR.mkdir(exist_ok=True)
             (OUT_DIR / f"{self.name}.txt").write_text(text)
-            entry = {"wall_time_s": round(wall, 3), "metrics": self.metrics}
+            entry = {
+                "wall_time_s": round(wall, 3),
+                "metrics": self.metrics,
+                "file": bench_file,
+            }
             (OUT_DIR / f"{self.name}.json").write_text(
                 json.dumps(entry, indent=2, sort_keys=True) + "\n"
             )

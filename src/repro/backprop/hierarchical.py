@@ -330,7 +330,6 @@ class HierarchicalBackprop:
             self.messages["resumes"] += 1
             tele = self.telemetry
             if tele is not None:
-                tele.registry.counter("backprop_progressive_resumes_total").inc()
                 tele.journal.record(
                     "progressive_resume",
                     parent=tele.journal_root(self.topo.server.addr, epoch),
@@ -388,7 +387,6 @@ class HierarchicalBackprop:
                 asn=asn,
                 from_as=-1 if from_as is None else from_as,
             )
-            tele.registry.counter("backprop_as_sessions_total").inc()
         # Divert honeypot traffic entering from every neighbor AS
         # except the downstream one (traffic *to* the honeypot never
         # enters from downstream on a tree).
@@ -493,7 +491,6 @@ class HierarchicalBackprop:
                     "inter_as_hop", parent=ev_parent, from_as=asn,
                     to_as=upstream,
                 )
-                tele.registry.counter("backprop_inter_as_hops_total").inc()
             request = HoneypotRequest(honeypot_addr, epoch, origin_as=asn)
             signed = sign_inter_as(request, self.keyring.between(asn, upstream))
             self.topo.sites[asn].hsm.send_control(

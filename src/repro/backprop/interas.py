@@ -324,9 +324,6 @@ class InterASBackprop:
             create_at = send_at + t_a + cfg.tau
             self.messages["resumes"] += 1
             if self.telemetry is not None:
-                self.telemetry.registry.counter(
-                    "backprop_progressive_resumes_total"
-                ).inc()
                 self.telemetry.journal.record(
                     "progressive_resume", asn=asn, epoch=next_epoch
                 )
@@ -380,7 +377,6 @@ class InterASBackprop:
             # accept_request just installed the HSM's diversion filter
             # for this (new) session.
             tele.journal.record("hsm_diversion", parent=open_ev, asn=asn)
-            tele.registry.counter("backprop_as_sessions_total").inc()
         if not self.topo.is_transit(asn):
             if asn == self.topo.victim_as:
                 self._arm_propagation(asn, epoch, sess)
@@ -443,7 +439,6 @@ class InterASBackprop:
             tele.journal.record(
                 "inter_as_hop", parent=ev_parent, from_as=asn, to_as=upstream
             )
-            tele.registry.counter("backprop_inter_as_hops_total").inc()
         if self.deployment.deploys(upstream):
             self.messages["requests"] += 1
             self._children[key].add(upstream)
@@ -498,7 +493,6 @@ class InterASBackprop:
             epoch = self.schedule.epoch_index(
                 max(now, self.schedule.start_time) + 1e-9
             )
-            tele.registry.counter("backprop_captures_total").inc()
             tele.journal.record(
                 "port_close",
                 parent=self._as_journal.get((asn, epoch)),

@@ -135,7 +135,6 @@ class BackpropRouterAgent:
         self.requests_sent += 1
         tele = self.telemetry
         if tele is not None:
-            tele.registry.counter("backprop_hop_relays_total").inc()
             tele.journal.record(
                 "hop_relay",
                 parent=self._session_events.get(sess.honeypot_addr),
@@ -158,7 +157,6 @@ class BackpropRouterAgent:
                 self.on_capture(record)
             tele = self.telemetry
             if tele is not None:
-                tele.registry.counter("backprop_captures_total").inc()
                 tele.journal.record(
                     "port_close",
                     parent=self._session_events.get(sess.honeypot_addr),
@@ -194,7 +192,6 @@ class BackpropRouterAgent:
                     router=self.router.addr,
                     epoch=msg.epoch,
                 )
-                tele.registry.counter("backprop_router_sessions_total").inc()
 
     def _on_cancel(self, pkt: Packet, in_channel) -> None:
         if not ttl_authenticated(pkt.ttl):
@@ -278,17 +275,13 @@ class HoneypotServerAgent:
         self.honeypot_hits += 1
         self._count_this_epoch += 1
         epoch = self.pool.current_epoch()
-        tele = self.telemetry
-        if tele is not None:
-            tele.registry.counter(
-                "honeypot_hits_total", server=self.server.addr
-            ).inc()
         if (
             self._requested_epoch != epoch
             and self._cancelled_epoch != epoch
             and self._count_this_epoch >= self.config.trigger_threshold
         ):
             self._requested_epoch = epoch
+            tele = self.telemetry
             if tele is not None:
                 tele.journal.record(
                     "honeypot_hit",

@@ -476,17 +476,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"  {name}")
         return 0
     if args.command == "analyze":
-        result = capture_time(
-            args.scheme,
-            args.m,
-            args.p,
-            args.h,
-            args.r,
-            args.tau,
-            t_on=args.t_on,
-            t_off=args.t_off,
-            d_follow=args.d_follow,
-        )
+        try:
+            result = capture_time(
+                args.scheme,
+                args.m,
+                args.p,
+                args.h,
+                args.r,
+                args.tau,
+                t_on=args.t_on,
+                t_off=args.t_off,
+                d_follow=args.d_follow,
+            )
+        except ValueError as exc:
+            raise SystemExit(f"error: {exc}") from None
         case = f" (on-off case {result.case})" if result.case else ""
         if math.isinf(result.expected):
             print(
@@ -636,10 +639,11 @@ def _parse_sweep_values(base, field: str, raw: str) -> list:
     if current is None:
         hint = get_type_hints(type(base))[field]
         kind = next(a for a in get_args(hint) or (hint,) if a is not type(None))
-    if kind is bool:
-        return [v.lower() in ("1", "true", "yes") for v in items]
     if kind in (int, float):
-        return [kind(v) for v in items]
+        try:
+            return [kind(v) for v in items]
+        except ValueError as exc:
+            raise SystemExit(f"error: --values: {exc}") from None
     return items
 
 
@@ -656,7 +660,12 @@ def _run_sweep_command(args) -> int:
         args,
     )
     values = _parse_sweep_values(base, args.field, args.values)
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    try:
+        seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    except ValueError as exc:
+        raise SystemExit(f"error: --seeds: {exc}") from None
+    if not seeds:
+        raise SystemExit("error: --seeds is empty")
     try:
         config = PoolConfig(
             jobs=resolve_jobs(args.jobs),

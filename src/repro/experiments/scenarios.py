@@ -212,9 +212,10 @@ def run_tree_scenario(
 
     ``telemetry`` (a :class:`repro.obs.Telemetry` or None) turns on the
     unified observability layer: the defense journals its lifecycle
-    events, the monitor counts per-class deliveries, the engine
-    self-profiles, and the network's counters are snapshotted into the
-    registry after the run.  With None (the default) nothing is instrumented.
+    events and the engine self-profiles; after the run the network's and
+    the defense's own counters fill the registry and the throughput
+    series joins the artifact.  With None (the default) nothing is
+    instrumented.
 
     ``profile=True`` (requires ``telemetry``) enables the engine's
     dimensional attribution: per-event wall-time charged to callback
@@ -397,13 +398,7 @@ def run_tree_scenario(
         return None
 
     servers = [net.nodes[sid] for sid in topo.server_ids]
-    monitor = ThroughputMonitor(
-        net.sim,
-        servers,
-        classify,
-        interval=1.0,
-        registry=telemetry.registry if telemetry is not None else None,
-    )
+    monitor = ThroughputMonitor(net.sim, servers, classify, interval=1.0)
     monitor.start()
 
     net.run(until=params.duration)

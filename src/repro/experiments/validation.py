@@ -124,22 +124,16 @@ def run_trial(
     if telemetry is not None:
         telemetry.snapshot_network(net)
         telemetry.record_stats(defense.stats(), prefix=f"{defense.name}_")
-        if defense.captures:
-            telemetry.registry.histogram("capture_time_seconds").observe(
-                defense.captures[0].time - attack_start
-            )
     if not defense.captures:
         return None
     return defense.captures[0].time - attack_start
 
 
-def run_validation(
-    params: ValidationParams, telemetry=None
-) -> ValidationOutcome:
+def run_validation(params: ValidationParams) -> ValidationOutcome:
     """Average capture time over replicated runs vs the Eq. (3) bound."""
     times = []
     for i in range(params.runs):
-        t = run_trial(params, i, telemetry=telemetry)
+        t = run_trial(params, i)
         if t is not None:
             times.append(t)
     predicted = basic_continuous(

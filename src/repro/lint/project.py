@@ -125,7 +125,7 @@ HANDLER_REGISTRATION_TABLES: FrozenSet[str] = frozenset({"control_handlers"})
 #: ``Dict[str, str]`` literal mapping journal kind -> meaning.
 JOURNAL_KINDS_TABLE = "JOURNAL_KINDS"
 
-_METRIC_APIS = frozenset({"counter", "gauge", "histogram"})
+_METRIC_APIS = frozenset({"counter", "gauge"})
 _MODULE_QUALNAME = "<module>"
 
 
@@ -213,7 +213,7 @@ class JournalUse:
 
 @dataclass(frozen=True)
 class MetricUse:
-    """One ``registry.counter/gauge/histogram("name", ...)`` site."""
+    """One ``registry.counter/gauge("name", ...)`` site."""
 
     instrument: str
     name: str

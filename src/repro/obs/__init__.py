@@ -1,12 +1,13 @@
 """repro.obs — unified observability: metrics, journal, self-profiling.
 
-The measurement layer under every experiment: a labeled
-:class:`MetricsRegistry` (counters / gauges / fixed-bucket histograms),
-a causal :class:`Journal` that records the defense lifecycle as one
-event tree per honeypot session (the text gantt of
-:func:`render_timeline` is derived from it), an :class:`EngineProfiler`
-for simulator self-profiling, and exporters (JSON / Prometheus text)
-so every run can leave a machine-readable artifact.
+The measurement layer under every experiment: a causal
+:class:`Journal` that records the defense lifecycle as one event tree
+per honeypot session (the text gantt of :func:`render_timeline` is
+derived from it), an :class:`EngineProfiler` for simulator
+self-profiling, a labeled :class:`MetricsRegistry` of counters and
+gauges filled once after the run from the network's and the defense's
+own counts, and exporters (JSON / Prometheus text) so every run can
+leave a machine-readable artifact.
 
 :class:`Telemetry` bundles the four and is what scenarios, defenses,
 and benchmarks thread through the stack; components treat a ``None``
@@ -53,13 +54,7 @@ from .regress import (
     load_baseline,
     write_trajectory_point,
 )
-from .registry import (
-    DEFAULT_LATENCY_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
+from .registry import Counter, Gauge, MetricsRegistry
 from .telemetry import Telemetry
 from .traceexport import (
     TRACE_SCHEMA,
@@ -71,10 +66,8 @@ from .traceexport import (
 __all__ = [
     "CRITICAL_SCHEMA",
     "Counter",
-    "DEFAULT_LATENCY_BUCKETS",
     "EngineProfiler",
     "Gauge",
-    "Histogram",
     "JOURNAL_SCHEMA",
     "Journal",
     "JournalError",

@@ -1,11 +1,11 @@
 """Exporters: JSON artifacts, Prometheus text format.
 
 Every benchmark and CLI run can emit a machine-readable artifact next
-to (or instead of) its human-readable text — the piece the perf
-trajectory needs to stop being invisible.  JSON is the canonical form
+to (or instead of) its human-readable text.  JSON is the canonical form
 and round-trips exactly (:func:`load_json` + ``MetricsRegistry.from_dict``
-reproduce the same values); the Prometheus text format makes a run
-scrapeable by standard tooling.
+reproduce the same values); :func:`registry_to_prometheus` renders the
+registry's counters and gauges as Prometheus exposition text, and
+:func:`parse_exposition` parses it back as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ def _prom_labels(labels: Dict[str, str]) -> str:
 
 
 def registry_to_prometheus(registry: MetricsRegistry, prefix: str = "repro_") -> str:
-    """Prometheus exposition text (counters, gauges, histograms)."""
+    """Prometheus exposition text (counters and gauges)."""
     data = registry.as_dict()
     lines: List[str] = []
     seen_types: Dict[str, str] = {}
@@ -120,25 +120,6 @@ def registry_to_prometheus(registry: MetricsRegistry, prefix: str = "repro_") ->
         name = _prom_name(f"{prefix}{g['name']}")
         typed(name, "gauge")
         lines.append(f"{name}{_prom_labels(g['labels'])} {g['value']}")
-    for h in data["histograms"]:
-        name = _prom_name(f"{prefix}{h['name']}")
-        typed(name, "histogram")
-        counts = list(h["counts"])
-        bounds = list(h["buckets"])
-        cumulative = 0
-        for bound, count in zip(bounds, counts):
-            cumulative += count
-            labels = dict(h["labels"], le=f"{bound:g}")
-            lines.append(f"{name}_bucket{_prom_labels(labels)} {cumulative}")
-        # +Inf and _count come from the same counts array the finite
-        # buckets consumed (incl. the implicit overflow bucket), so the
-        # le-series is cumulative and monotone by construction — even
-        # for artifacts whose redundant "count" field drifted.
-        total = cumulative + sum(counts[len(bounds):])
-        labels = dict(h["labels"], le="+Inf")
-        lines.append(f"{name}_bucket{_prom_labels(labels)} {total}")
-        lines.append(f"{name}_sum{_prom_labels(h['labels'])} {h['sum']}")
-        lines.append(f"{name}_count{_prom_labels(h['labels'])} {total}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 import html
 import json
 import os
+import zlib
 from contextlib import contextmanager
 from typing import (
     IO,
@@ -42,6 +43,7 @@ from typing import (
     Callable,
     Collection,
     Dict,
+    Iterable,
     Iterator,
     List,
     Optional,
@@ -191,13 +193,17 @@ class JournalEvent:
 
     @classmethod
     def from_dict(cls, d: Dict[str, Any]) -> "JournalEvent":
-        return cls(
-            int(d["id"]),
-            str(d["name"]),
-            float(d["t"]),
-            None if d.get("parent") is None else int(d["parent"]),
-            dict(d.get("attrs", {})),
-        )
+        """Rebuild an event; a malformed record raises :class:`JournalError`."""
+        try:
+            return cls(
+                int(d["id"]),
+                str(d["name"]),
+                float(d["t"]),
+                None if d.get("parent") is None else int(d["parent"]),
+                dict(d.get("attrs", {})),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise JournalError(f"malformed journal event {d!r} ({exc!r})") from None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         parent = "root" if self.parent_id is None else f"<-{self.parent_id}"
@@ -288,46 +294,55 @@ class Journal:
 
     @classmethod
     def read_jsonl(cls, path: Union[str, os.PathLike]) -> "Journal":
+        path = os.fspath(path)
+        with _journal_reader(path) as fh:
+            return cls._parse_jsonl(fh, path)
+
+    @classmethod
+    def _parse_jsonl(cls, lines: Iterable[str], path: str) -> "Journal":
         journal = cls()
-        with _journal_reader(os.fspath(path)) as fh:
-            for lineno, line in enumerate(fh):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    d = json.loads(line)
-                except json.JSONDecodeError as exc:
+        for lineno, line in enumerate(lines):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                d = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise JournalError(f"{path}:{lineno + 1}: not JSON ({exc})") from None
+            if lineno == 0:
+                schema = d.get("schema") if isinstance(d, dict) else None
+                if schema != JOURNAL_SCHEMA:
                     raise JournalError(
-                        f"{os.fspath(path)}:{lineno + 1}: not JSON ({exc})"
-                    ) from None
-                if lineno == 0:
-                    schema = d.get("schema")
-                    if schema != JOURNAL_SCHEMA:
-                        raise JournalError(
-                            f"unsupported journal schema {schema!r} "
-                            f"(expected {JOURNAL_SCHEMA!r})"
-                        )
-                    continue
-                journal.events.append(JournalEvent.from_dict(d))
+                        f"unsupported journal schema {schema!r} "
+                        f"(expected {JOURNAL_SCHEMA!r})"
+                    )
+                continue
+            journal.events.append(JournalEvent.from_dict(d))
         return journal
 
 
 def load_journal(path: Union[str, os.PathLike]) -> Journal:
     """Load a journal from its JSONL form *or* from a ``repro.obs/1``
     run-artifact JSON (the ``"journal"`` key ``--metrics-out`` writes).
-    Gzip-compressed files are decompressed transparently."""
-    with _journal_reader(os.fspath(path)) as fh:
-        text = fh.read()
+    Gzip-compressed files are decompressed transparently.  A path that
+    cannot be read or decoded raises :class:`JournalError`."""
+    path = os.fspath(path)
+    try:
+        with _journal_reader(path) as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError, EOFError, zlib.error) as exc:
+        raise JournalError(f"{path}: cannot read journal ({exc})") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError:
-        return Journal.read_jsonl(path)
+        # Text mode already turned every line ending into "\n".
+        return Journal._parse_jsonl(text.split("\n"), path)
     if isinstance(doc, dict) and isinstance(doc.get("journal"), list):
         return Journal.from_dicts(doc["journal"])
     if isinstance(doc, dict) and doc.get("schema") == JOURNAL_SCHEMA:
         return Journal()  # a header-only JSONL file: zero events
     raise JournalError(
-        f"{os.fspath(path)}: neither a {JOURNAL_SCHEMA} JSONL file nor a "
+        f"{path}: neither a {JOURNAL_SCHEMA} JSONL file nor a "
         "repro.obs/1 artifact with a 'journal' key"
     )
 

@@ -6,6 +6,12 @@ benchmark threads through the stack.  Components take an optional
 None`` — a run without telemetry constructs no objects and executes no
 instrumentation, so the disabled path costs nothing in the hot loop.
 
+While the simulator runs, only the journal and the engine profile
+record anything.  The registry is filled once, after the run, by
+:meth:`Telemetry.snapshot_network` and :meth:`Telemetry.record_stats`
+from counts the network and the defense keep anyway, so no fact is
+recorded twice and telemetry adds no per-packet work.
+
 The hub also owns the *session rendezvous*: the honeypot defense's
 lifecycle events are journaled by agents that never hold references to
 each other (server trigger agents, per-router back-propagation agents,
@@ -72,7 +78,6 @@ class Telemetry:
             root = self.session_journal[key] = self.journal.record(
                 "session_open", honeypot=honeypot_addr, epoch=epoch, **attrs
             )
-            self.registry.counter("honeypot_sessions_total").inc()
         return root
 
     def journal_root(
@@ -99,7 +104,8 @@ class Telemetry:
         """Fold a :class:`~repro.sim.network.Network`'s own counters into
         the registry.  This is how the hot path stays uninstrumented:
         links and routers count for themselves (plain attribute adds
-        they do anyway), and the totals are collected once, here."""
+        they do anyway), and the totals are collected once, here.  The
+        event count is left to the engine profile, which holds it."""
         reg = self.registry
         from ..sim.node import Host, Router  # local import avoids a cycle
 
@@ -135,7 +141,6 @@ class Telemetry:
         reg.counter("channel_packets_dropped_total").inc(dropped)
         reg.gauge("queue_depth_packets").set(qdepth)
         reg.gauge("queue_depth_packets_max_channel").set(qmax)
-        reg.counter("sim_events_processed_total").inc(net.sim.events_processed)
 
     def record_stats(self, stats: Dict[str, Any], prefix: str = "") -> None:
         """Numeric entries of a ``Defense.stats()`` dict -> counters."""

@@ -6,7 +6,7 @@ instrumented task builds its own and ships the JSON-ready *artifact*
 back.  This module folds those artifacts into a parent telemetry:
 
 * metrics merge via :meth:`MetricsRegistry.merge` (counter adds,
-  histogram bucket adds);
+  gauge sets);
 * journal events are re-materialized with their ids offset past the
   parent's, preserving causal links — exactly what sequential serial
   runs sharing one journal would have produced, byte for byte;

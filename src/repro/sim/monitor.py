@@ -7,24 +7,18 @@ bytes delivered at the servers, classified by a caller-supplied
 function of each packet (the scenarios use its flow label, which marks
 ground truth and is measurement-only information).
 
-The monitor sits on top of :mod:`repro.obs`: pass a
-:class:`~repro.obs.MetricsRegistry` and every delivered packet is also
-counted into labeled ``delivered_packets_total`` /
-``delivered_bytes_total`` counters, making the per-class totals part of
-the run's machine-readable artifact.  Without a registry no registry
-object is ever consulted.
+The sampled series is the run's one record of per-class delivered
+bytes: a telemetry run stores :meth:`ThroughputMonitor.to_dict` in its
+artifact as ``throughput``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .engine import Simulator, Timer
 from .node import Host
 from .packet import Packet
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs imports sim)
-    from ..obs.registry import MetricsRegistry
 
 __all__ = ["ThroughputMonitor", "mean_over_window"]
 
@@ -41,9 +35,6 @@ class ThroughputMonitor:
         ``"attack"``); packets mapped to None are ignored.
     interval:
         Sampling period in seconds.
-    registry:
-        Optional :class:`repro.obs.MetricsRegistry`; delivered packets
-        and bytes are additionally counted per class label.
     """
 
     def __init__(
@@ -52,14 +43,12 @@ class ThroughputMonitor:
         hosts: Sequence[Host],
         classify: Callable[[Packet], Optional[str]],
         interval: float = 1.0,
-        registry: Optional[MetricsRegistry] = None,
     ) -> None:
         if interval <= 0:
             raise ValueError(f"interval must be positive (got {interval})")
         self.sim = sim
         self.classify = classify
         self.interval = interval
-        self.registry = registry
         self._acc: Dict[str, int] = {}
         self.times: List[float] = []
         self.series: Dict[str, List[float]] = {}
@@ -74,9 +63,6 @@ class ThroughputMonitor:
         if label is None:
             return
         self._acc[label] = self._acc.get(label, 0) + pkt.size
-        if self.registry is not None:
-            self.registry.counter("delivered_packets_total", cls=label).inc()
-            self.registry.counter("delivered_bytes_total", cls=label).inc(pkt.size)
 
     def _sample(self, interval: Optional[float] = None) -> None:
         interval = self.interval if interval is None else interval

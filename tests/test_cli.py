@@ -58,6 +58,25 @@ class TestCLI:
         ]) == 0
         assert "follower" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "option",
+        [
+            ["--p", "0"],
+            ["--p", "1.5"],
+            ["--p", "nan"],
+            ["--r", "0"],
+            ["--m", "-1"],
+            ["--h", "0"],
+            ["--t-on", "0", "--t-off", "5"],
+        ],
+        ids=["p=0", "p=1.5", "p=nan", "r=0", "m=-1", "h=0", "t-on=0"],
+    )
+    def test_analyze_bad_parameter_is_a_usage_error(self, option):
+        # A string SystemExit prints "error: ..." and no traceback.
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", *option])
+        assert str(exc.value.code).startswith("error: ")
+
     def test_fig9_command(self, capsys):
         assert main(["fig9"]) == 0
         assert "simulation parameters" in capsys.readouterr().out
@@ -143,11 +162,28 @@ class TestJobsAndSweepParsing:
 
     @pytest.mark.parametrize(
         "option",
-        [["--timeout", "0"], ["--timeout", "nan"], ["--max-attempts", "0"]],
-        ids=["timeout=0", "timeout=nan", "max-attempts=0"],
+        [
+            ["--timeout", "0"],
+            ["--timeout", "nan"],
+            ["--max-attempts", "0"],
+            ["--values", "1,x"],
+            ["--field", "attack_start", "--values", "1.0,abc"],
+            ["--seeds", "0,x"],
+            ["--seeds", ","],
+        ],
+        ids=[
+            "timeout=0",
+            "timeout=nan",
+            "max-attempts=0",
+            "values=1,x",
+            "attack_start=1.0,abc",
+            "seeds=0,x",
+            "seeds=empty",
+        ],
     )
-    def test_sweep_bad_pool_option_is_a_usage_error(self, option):
-        # A string SystemExit prints "error: ..." and no traceback.
+    def test_sweep_bad_option_is_a_usage_error(self, option):
+        # A string SystemExit prints "error: ..." and no traceback; a
+        # later --field/--values overrides the defaults below.
         argv = [
             "sweep", "--field", "n_attackers", "--values", "1",
             "--scale", "quick", "--defense", "none", *option,

@@ -10,8 +10,8 @@ The perf machinery must be invisible to simulation semantics:
   event-per-packet path.
 
 And it must stay cheap: the bytecode executed per event on a small tree
-scenario is pinned per defense, a deterministic count where wall time
-is weather.
+scenario is pinned per defense and per observer set, a deterministic
+count where wall time is weather.
 """
 
 import random
@@ -21,6 +21,7 @@ from dataclasses import replace
 import pytest
 
 from repro.experiments.scenarios import TreeScenarioParams, run_tree_scenario
+from repro.obs import Telemetry
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
 from repro.sim.node import Host
@@ -144,6 +145,11 @@ class TestPacketPathCost:
     value fails any change that adds more than that, on any machine
     running the pinned CPython version.  The event counts are pinned
     exactly: a change to them is a change in behaviour, not in cost.
+
+    A telemetry run is held to the plain run's budget: while the
+    simulator runs it only journals the defense's control-plane events,
+    and it fills the registry after the run.  Attribution times every
+    dispatch and has its own pin.
     """
 
     PARAMS = TreeScenarioParams(
@@ -154,15 +160,29 @@ class TestPacketPathCost:
         attack_end=2.5,
         seed=0,
     )
-    # defense -> (events, opcodes per event), CPython 3.11.
+    # defense -> (events, opcodes per event), CPython 3.11; the plain
+    # pin also bounds a telemetry run.
     PINNED = {
         "honeypot": (55_223, 234.01),
         "pushback": (59_710, 235.82),
         "none": (59_794, 191.74),
     }
+    # defense -> opcodes per event with attribution on, CPython 3.11.
+    PINNED_ATTRIBUTION = {
+        "honeypot": 311.92,
+        "pushback": 313.43,
+        "none": 269.58,
+    }
 
-    @pytest.mark.parametrize("defense", sorted(PINNED))
-    def test_opcodes_per_event_within_budget(self, defense, monkeypatch):
+    @pytest.mark.parametrize(
+        "defense, observers",
+        [
+            pytest.param(d, obs, id=d if obs == "plain" else f"{d}-{obs}")
+            for d in sorted(PINNED)
+            for obs in ("plain", "telemetry", "attribution")
+        ],
+    )
+    def test_opcodes_per_event_within_budget(self, defense, observers, monkeypatch):
         counts = []
         run = Network.run
 
@@ -170,8 +190,15 @@ class TestPacketPathCost:
             counts.append(count_opcodes(run, net, until))
 
         monkeypatch.setattr(Network, "run", traced_run)
-        result = run_tree_scenario(replace(self.PARAMS, defense=defense))
+        params = replace(self.PARAMS, defense=defense)
+        if observers == "plain":
+            result = run_tree_scenario(params)
+        else:
+            profile = observers == "attribution"
+            result = run_tree_scenario(params, Telemetry(), profile=profile)
         events, pinned = self.PINNED[defense]
+        if observers == "attribution":
+            pinned = self.PINNED_ATTRIBUTION[defense]
         assert result.events_processed == events
         per_event = counts[0] / events
-        assert per_event <= pinned * 1.005, (defense, per_event, pinned)
+        assert per_event <= pinned * 1.005, (defense, observers, per_event, pinned)

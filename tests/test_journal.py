@@ -100,6 +100,22 @@ class TestJournal:
         with pytest.raises(JournalError):
             load_journal(path)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"schema": "repro.journal/1", "events": 1}\n{}\n',
+            '{"schema": "repro.journal/1", "events": 1}\n[1, 2]\n',
+            "1\n2\n",
+            '{"journal": [{"id": "x", "name": "a", "t": 0}]}',
+        ],
+        ids=["empty-event", "list-event", "non-object-header", "artifact-bad-id"],
+    )
+    def test_load_journal_rejects_malformed_events(self, text, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(text)
+        with pytest.raises(JournalError):
+            load_journal(path)
+
 
 class TestBuildTree:
     def test_roots_and_children(self):
@@ -316,7 +332,15 @@ class TestCli:
         "command, content",
         [
             pytest.param(command, content, id=f"{''.join(command)}-{content}")
-            for content in ("not-json", "broken-link")
+            for content in (
+                "not-json",
+                "broken-link",
+                "missing",
+                "directory",
+                "random-bytes",
+                "gzip-garbage",
+                "gzip-corrupt",
+            )
             for command in (
                 ["replay"],
                 ["replay", "--check"],
@@ -333,10 +357,18 @@ class TestCli:
         path = tmp_path / "bad.jsonl"
         if content == "not-json":
             path.write_text('{"schema": "repro.journal/1", "events": 1}\n{oops\n')
-        else:  # event 0 links to a parent that comes later
+        elif content == "broken-link":  # event 0 links to a later parent
             Journal.from_dicts(
                 [{"id": 0, "name": "a", "t": 0.0, "parent": 3, "attrs": {}}]
             ).write_jsonl(path)
+        elif content == "directory":
+            path.mkdir()
+        elif content == "random-bytes":  # not UTF-8, not gzip
+            path.write_bytes(bytes(range(56, 256)))
+        elif content == "gzip-garbage":  # gzip magic, truncated header
+            path.write_bytes(b"\x1f\x8bgarbage")
+        elif content == "gzip-corrupt":  # valid header, bad deflate data
+            path.write_bytes(b"\x1f\x8b\x08" + bytes(7) + b"garbage-garbage")
         html = tmp_path / "report.html"
         operands = {"--check": [path, path], "--html": [html, path]}
         argv = [*command, *map(str, operands.get(command[-1], [path]))]

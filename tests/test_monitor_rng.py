@@ -83,23 +83,6 @@ class TestThroughputMonitor:
         assert d["times"] == [1.0]
         assert d["series_bps"]["legit"] == pytest.approx([1000.0])
 
-    def test_registry_counts_per_class(self):
-        from repro.obs import MetricsRegistry
-
-        sim = Simulator()
-        host = Host(sim, 0)
-        reg = MetricsRegistry()
-        ThroughputMonitor(
-            sim,
-            [host],
-            classify=lambda p: p.flow[0] if p.flow else None,
-            registry=reg,
-        )
-        sim.schedule(0.5, host.receive, Packet(1, 0, 125, flow=("legit", 1)), None)
-        sim.run(until=1.0)
-        assert reg.value("delivered_packets_total", cls="legit") == 1
-        assert reg.value("delivered_bytes_total", cls="legit") == 125
-
     def test_invalid_interval(self):
         sim = Simulator()
         with pytest.raises(ValueError):

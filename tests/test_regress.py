@@ -219,3 +219,43 @@ class TestCli:
         assert spec == {"value": 15, "abs_tol": 0}
         # The refreshed baseline now gates cleanly.
         assert main(self._argv(files)) == 0
+
+
+class TestBenchSummary:
+    """``benchmarks/conftest.py`` keeps only entries of benches that exist."""
+
+    @staticmethod
+    def _bench_conftest():
+        import importlib.util
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parent.parent / "benchmarks" / "conftest.py"
+        spec = importlib.util.spec_from_file_location("bench_conftest", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_entries_of_deleted_benches_are_dropped(self, tmp_path, monkeypatch):
+        conftest = self._bench_conftest()
+        (tmp_path / "benchmarks").mkdir()
+        (tmp_path / "benchmarks" / "bench_live.py").write_text("")
+        live = {
+            "wall_time_s": 1.0,
+            "metrics": {"x": 1},
+            "file": "benchmarks/bench_live.py",
+        }
+        summary = tmp_path / "summary.json"
+        summary.write_text(
+            json.dumps(
+                {
+                    "live": live,
+                    "dead": dict(live, file="benchmarks/bench_dead.py"),
+                    "unrecorded": {"wall_time_s": 1.0, "metrics": {"x": 3}},
+                }
+            )
+        )
+        monkeypatch.setattr(conftest, "ROOT", tmp_path)
+        monkeypatch.setattr(conftest, "SUMMARY_PATH", summary)
+        fresh = dict(live, metrics={"y": 4})
+        conftest._update_summary("fresh", fresh)
+        assert json.loads(summary.read_text()) == {"live": live, "fresh": fresh}
