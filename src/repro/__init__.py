@@ -29,8 +29,8 @@ Packages
 ``repro.experiments``
     Scenario builders and batch runners for every figure.
 ``repro.obs``
-    Unified observability: metrics registry, causal event journal,
-    simulator self-profiling, and run-artifact exporters.
+    Unified observability: counter and gauge totals, causal event
+    journal, simulator self-profiling, and JSON run artifacts.
 """
 
 __version__ = "1.0.0"

@@ -25,8 +25,9 @@ Usage::
 
 ``--metrics-out FILE`` on a figure command (and on ``stats`` and
 ``sweep``) attaches the :mod:`repro.obs` telemetry layer to the
-simulation runs and writes the machine-readable run artifact — metrics
-registry, causal event journal, and engine self-profile — as JSON.
+simulation runs and writes the machine-readable run artifact — counter
+and gauge totals, causal event journal, and engine self-profile — as
+JSON.
 ``--journal-out FILE`` writes just the causal event journal in its
 canonical JSONL form (``repro.journal/1``).  ``stats`` runs the
 standard quick scenario under full observability and prints the
@@ -130,7 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument(
         "--field",
         required=True,
-        help="TreeScenarioParams field to sweep (e.g. n_attackers)",
+        help="TreeScenarioParams field to sweep (e.g. n_attackers; "
+        "seeds are swept with --seeds)",
     )
     w.add_argument(
         "--values",
@@ -309,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument(
         "journal",
         metavar="JOURNAL",
-        help="journal JSONL file (.gz ok) or repro.obs/1 artifact JSON",
+        help="journal JSONL file (.gz ok) or --metrics-out artifact JSON",
     )
     cp.add_argument(
         "--target",
@@ -354,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
         "journals",
         nargs="+",
         metavar="JOURNAL",
-        help="journal JSONL file or repro.obs/1 artifact JSON "
+        help="journal JSONL file or --metrics-out artifact JSON "
         "(two files with --check)",
     )
     rp.add_argument(
@@ -384,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument(
         "journal",
         metavar="JOURNAL",
-        help="journal JSONL file or repro.obs/1 artifact JSON",
+        help="journal JSONL file or --metrics-out artifact JSON",
     )
     rep.add_argument(
         "--html",
@@ -628,13 +630,19 @@ def _resolve_jobs(args) -> int:
 def _parse_sweep_values(base, field: str, raw: str) -> list:
     """Cast comma-separated CLI values to the swept field's type: the
     type of its current value, or its declared type when that is None
-    (``t_on: Optional[float] = None`` sweeps floats)."""
-    if not hasattr(base, field):
-        raise SystemExit(f"error: unknown sweep field {field!r}")
-    current = getattr(base, field)
+    (``t_on: Optional[float] = None`` sweeps floats).  A field that
+    cannot be swept, or a string value it does not accept, is a usage
+    error (:func:`~repro.experiments.runner.check_sweep_values`)."""
+    from .experiments.runner import check_sweep_values
+
     items = [v.strip() for v in raw.split(",") if v.strip()]
     if not items:
         raise SystemExit("error: --values is empty")
+    try:
+        check_sweep_values(field, items)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}") from None
+    current = getattr(base, field)
     kind = type(current)
     if current is None:
         hint = get_type_hints(type(base))[field]

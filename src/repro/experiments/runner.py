@@ -16,11 +16,25 @@ exactly the missing tasks.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass, fields, replace
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Literal,
+    Optional,
+    Sequence,
+    Tuple,
+    get_args,
+    get_origin,
+    get_type_hints,
+)
 
 import numpy as np
 
+from ..obs.telemetry import ARTIFACT_SCHEMA
 from ..parallel import (
     PoolConfig,
     PoolReport,
@@ -30,10 +44,12 @@ from ..parallel import (
     resolve_jobs,
     run_tasks,
 )
+from ..traffic.policies import POLICY_NAMES
 from .scenarios import TreeScenarioParams, TreeScenarioResult, run_tree_scenario
 
 __all__ = [
     "SweepRun",
+    "check_sweep_values",
     "confidence_interval",
     "plan_sweep_tasks",
     "render_series",
@@ -168,7 +184,10 @@ def _discard_stale(
     Task ids such as ``seed=0`` do not encode the base params, so an id
     match alone could resume a different scenario's result.  An outcome
     whose recorded ``params`` differ from the task's — including one
-    written when the params had other fields — is run again.
+    written when the params had other fields — is run again, and so is
+    one whose telemetry artifact has another schema than
+    :data:`~repro.obs.telemetry.ARTIFACT_SCHEMA`, which
+    :func:`~repro.parallel.absorb_artifact` could not fold.
     """
     if checkpoint is None:
         return
@@ -180,7 +199,10 @@ def _discard_stale(
         value = done.get("value")
         result = value.get("result") if isinstance(value, dict) else None
         recorded = result.get("params") if isinstance(result, dict) else None
-        if recorded != asdict(task.payload["params"]):
+        artifact = value.get("telemetry") if isinstance(value, dict) else None
+        if recorded != asdict(task.payload["params"]) or (
+            artifact and artifact.get("schema") != ARTIFACT_SCHEMA
+        ):
             stale.append(task.task_id)
     if stale:
         checkpoint.discard(stale)
@@ -251,6 +273,33 @@ def run_many(
     }
 
 
+def check_sweep_values(field_name: str, values: Sequence[Any]) -> None:
+    """Raise :class:`ValueError` unless ``field_name`` is a sweepable
+    :class:`TreeScenarioParams` field and it accepts every value.
+
+    ``seed`` is not one (seeds are swept by their own argument), nor is
+    a derived property such as ``n_clients``.  A ``Literal`` field
+    takes only its choices and ``attacker_policy`` only
+    :data:`~repro.traffic.policies.POLICY_NAMES`, so a bad value fails
+    here, before any task, not inside every task of the sweep.
+    """
+    if field_name not in {f.name for f in fields(TreeScenarioParams)} - {"seed"}:
+        raise ValueError(f"unknown sweep field {field_name!r}")
+    hint = get_type_hints(TreeScenarioParams)[field_name]
+    if field_name == "attacker_policy":
+        choices: Tuple[Any, ...] = POLICY_NAMES
+    elif get_origin(hint) is Literal:
+        choices = get_args(hint)
+    else:
+        return
+    for value in values:
+        if value not in choices:
+            raise ValueError(
+                f"{field_name} value {value!r} is not one of "
+                f"{', '.join(map(str, choices))}"
+            )
+
+
 def plan_sweep_tasks(
     base: TreeScenarioParams,
     field_name: str,
@@ -269,8 +318,7 @@ def plan_sweep_tasks(
     adds per-dimension engine attribution to each instrumented task's
     artifact.
     """
-    if not hasattr(base, field_name):
-        raise ValueError(f"unknown sweep field {field_name!r}")
+    check_sweep_values(field_name, values)
     named = [
         (f"{field_name}={v!r}/seed={int(s)}",
          replace(base, **{field_name: v}, seed=int(s)))

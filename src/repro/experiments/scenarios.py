@@ -213,8 +213,8 @@ def run_tree_scenario(
     ``telemetry`` (a :class:`repro.obs.Telemetry` or None) turns on the
     unified observability layer: the defense journals its lifecycle
     events and the engine self-profiles; after the run the network's and
-    the defense's own counters fill the registry and the throughput
-    series joins the artifact.  With None (the default) nothing is
+    the defense's own counters fill the telemetry's counter and gauge
+    totals and the throughput series joins the artifact.  With None (the default) nothing is
     instrumented.
 
     ``profile=True`` (requires ``telemetry``) enables the engine's

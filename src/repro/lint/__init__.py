@@ -40,9 +40,9 @@ the handler call graph (:mod:`repro.lint.callgraph`):
            dispatch order, so pool workers and replays agree
  RPL2xx    RNG-stream registry: stream names are literal, unique
            across modules, and drawn from seeded registries
- RPL3xx    journal/telemetry schema: emitted journal kinds and the
-           ``JOURNAL_KINDS`` table agree in both directions; one
-           metric name maps to one instrument type
+ RPL3xx    journal schema: emitted journal kinds and the
+           ``JOURNAL_KINDS`` table agree in both directions, and
+           every kind is a literal
 ========  ==========================================================
 
 Diagnostics can be suppressed per line with ``# reprolint:

@@ -20,7 +20,6 @@ symbol table, call graph — instead of one AST.  Three rule families:
            ``JOURNAL_KINDS`` schema table
  RPL302    no ``JOURNAL_KINDS`` entry that no code ever emits
  RPL303    no dynamic (non-literal) journal kinds
- RPL304    no metric name acquired as two instrument types
 ========  ==========================================================
 """
 
@@ -31,7 +30,6 @@ from typing import Tuple
 from ..project import ProjectRule
 from .journal_schema import (
     KindNeverEmitted,
-    MetricInstrumentConflict,
     NonLiteralJournalKind,
     UndocumentedJournalKind,
 )
@@ -48,7 +46,6 @@ __all__ = [
     "DuplicateStreamName",
     "HandlerWritesModuleState",
     "KindNeverEmitted",
-    "MetricInstrumentConflict",
     "NonLiteralJournalKind",
     "NonLiteralStreamName",
     "ProjectRule",
@@ -67,5 +64,4 @@ ALL_PROJECT_RULES: Tuple[ProjectRule, ...] = (
     UndocumentedJournalKind(),
     KindNeverEmitted(),
     NonLiteralJournalKind(),
-    MetricInstrumentConflict(),
 )

@@ -1,4 +1,4 @@
-"""RPL3xx — journal/telemetry schema coherence, checked statically.
+"""RPL3xx — journal schema coherence, checked statically.
 
 The ``repro.journal/1`` journal is the repo's determinism witness and
 the input to replay/report tooling.  That tooling can only be trusted
@@ -6,15 +6,12 @@ if the set of event kinds is closed: every kind the code emits appears
 in the :data:`repro.obs.journal.JOURNAL_KINDS` schema table (so replay,
 ``repro report`` and downstream consumers know the vocabulary), and
 every table entry is actually emitted somewhere (so the table doesn't
-document fiction).  Same story for metric names: one name must mean
-one instrument type, or exported series collide.
+document fiction).
 
 * **RPL301** — a ``journal.record("kind", ...)`` literal absent from
   the ``JOURNAL_KINDS`` table (or no table exists at all).
 * **RPL302** — a ``JOURNAL_KINDS`` entry no code ever emits.
 * **RPL303** — a journal kind built at runtime (non-literal).
-* **RPL304** — one metric name acquired as two instrument types
-  (e.g. both ``counter("x")`` and ``gauge("x")``).
 """
 
 from __future__ import annotations
@@ -26,7 +23,6 @@ from ..project import ModuleFacts, Project, ProjectRule
 
 __all__ = [
     "KindNeverEmitted",
-    "MetricInstrumentConflict",
     "NonLiteralJournalKind",
     "UndocumentedJournalKind",
 ]
@@ -122,29 +118,3 @@ class NonLiteralJournalKind(ProjectRule):
                         "— use a string literal from the JOURNAL_KINDS table",
                     )
 
-
-class MetricInstrumentConflict(ProjectRule):
-    code = "RPL304"
-    name = "no metric name acquired as two instrument types"
-    rationale = (
-        "one exported series name must map to one instrument; a name used "
-        "as both counter and gauge corrupts merged telemetry"
-    )
-
-    def check(self, project: Project) -> Iterator[Diagnostic]:
-        by_name: Dict[str, Set[str]] = {}
-        for mod in project.modules.values():
-            for use in mod.metric_uses:
-                by_name.setdefault(use.name, set()).add(use.instrument)
-        for mod_path, mod in project.modules.items():
-            for use in mod.metric_uses:
-                instruments = by_name[use.name]
-                if len(instruments) > 1:
-                    yield self._diag(
-                        mod,
-                        use.line,
-                        use.col,
-                        f"metric '{use.name}' is acquired as "
-                        f"{' and '.join(sorted(instruments))} — one name, "
-                        f"one instrument type",
-                    )

@@ -11,8 +11,8 @@ those cross-module passes:
 * :func:`extract_facts` — one AST walk per module producing a
   :class:`ModuleFacts` record: imports (resolved to project modules),
   module-level mutable bindings, class/method structure, per-function
-  call and mutation facts, RNG-stream / journal-kind / metric-name
-  literals, and the inline-suppression map.
+  call and mutation facts, RNG-stream and journal-kind literals, and
+  the inline-suppression map.
 * :class:`Project` — the loaded whole program: facts per module plus
   the import-resolution symbol table the passes query.
 * :class:`ProjectRule` — the base class for cross-module rules
@@ -39,7 +39,6 @@ __all__ = [
     "ClassFacts",
     "FunctionFacts",
     "JournalUse",
-    "MetricUse",
     "ModuleFacts",
     "Project",
     "ProjectRule",
@@ -125,7 +124,6 @@ HANDLER_REGISTRATION_TABLES: FrozenSet[str] = frozenset({"control_handlers"})
 #: ``Dict[str, str]`` literal mapping journal kind -> meaning.
 JOURNAL_KINDS_TABLE = "JOURNAL_KINDS"
 
-_METRIC_APIS = frozenset({"counter", "gauge"})
 _MODULE_QUALNAME = "<module>"
 
 
@@ -211,16 +209,6 @@ class JournalUse:
     col: int
 
 
-@dataclass(frozen=True)
-class MetricUse:
-    """One ``registry.counter/gauge("name", ...)`` site."""
-
-    instrument: str
-    name: str
-    line: int
-    col: int
-
-
 @dataclass
 class ClassFacts:
     name: str
@@ -269,7 +257,6 @@ class ModuleFacts:
     functions: Dict[str, FunctionFacts] = field(default_factory=dict)
     streams: List[StreamUse] = field(default_factory=list)
     journal_uses: List[JournalUse] = field(default_factory=list)
-    metric_uses: List[MetricUse] = field(default_factory=list)
     # JOURNAL_KINDS table: kind -> line of its key (None: no table here)
     journal_kinds_table: Optional[Dict[str, int]] = None
     journal_kinds_line: int = 0
@@ -642,16 +629,6 @@ class _FactsVisitor(ast.NodeVisitor):
                     self.facts.journal_uses.append(
                         JournalUse(None, node.lineno, node.col_offset + 1)
                     )
-            # Metric instrument sites
-            if (
-                tail in _METRIC_APIS
-                and len(parts) >= 2
-                and isinstance(first, ast.Constant)
-                and isinstance(first.value, str)
-            ):
-                self.facts.metric_uses.append(
-                    MetricUse(tail, first.value, node.lineno, node.col_offset + 1)
-                )
             # In-place mutation through a method call
             if tail in MUTATOR_METHODS and isinstance(node.func, ast.Attribute):
                 root = _chain_root(node.func.value)

@@ -4,10 +4,9 @@ The measurement layer under every experiment: a causal
 :class:`Journal` that records the defense lifecycle as one event tree
 per honeypot session (the text gantt of :func:`render_timeline` is
 derived from it), an :class:`EngineProfiler` for simulator
-self-profiling, a labeled :class:`MetricsRegistry` of counters and
-gauges filled once after the run from the network's and the defense's
-own counts, and exporters (JSON / Prometheus text) so every run can
-leave a machine-readable artifact.
+self-profiling, counter and gauge totals filled once after the run
+from the network's and the defense's own counts, and a JSON artifact
+writer so every run can leave a machine-readable record.
 
 :class:`Telemetry` bundles the four and is what scenarios, defenses,
 and benchmarks thread through the stack; components treat a ``None``
@@ -27,12 +26,7 @@ from .critical import (
     critical_report,
     render_critical,
 )
-from .export import (
-    load_json,
-    parse_exposition,
-    registry_to_prometheus,
-    write_json,
-)
+from .export import load_json, write_json
 from .journal import (
     JOURNAL_SCHEMA,
     Journal,
@@ -54,7 +48,6 @@ from .regress import (
     load_baseline,
     write_trajectory_point,
 )
-from .registry import Counter, Gauge, MetricsRegistry
 from .telemetry import Telemetry
 from .traceexport import (
     TRACE_SCHEMA,
@@ -65,14 +58,11 @@ from .traceexport import (
 
 __all__ = [
     "CRITICAL_SCHEMA",
-    "Counter",
     "EngineProfiler",
-    "Gauge",
     "JOURNAL_SCHEMA",
     "Journal",
     "JournalError",
     "JournalEvent",
-    "MetricsRegistry",
     "REGRESS_SCHEMA",
     "RegressReport",
     "TRACE_SCHEMA",
@@ -86,9 +76,7 @@ __all__ = [
     "load_baseline",
     "load_journal",
     "load_json",
-    "parse_exposition",
     "render_critical",
-    "registry_to_prometheus",
     "render_html",
     "render_timeline",
     "render_tree",

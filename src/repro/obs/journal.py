@@ -322,7 +322,7 @@ class Journal:
 
 
 def load_journal(path: Union[str, os.PathLike]) -> Journal:
-    """Load a journal from its JSONL form *or* from a ``repro.obs/1``
+    """Load a journal from its JSONL form *or* from a ``repro.obs``
     run-artifact JSON (the ``"journal"`` key ``--metrics-out`` writes).
     Gzip-compressed files are decompressed transparently.  A path that
     cannot be read or decoded raises :class:`JournalError`."""
@@ -343,7 +343,7 @@ def load_journal(path: Union[str, os.PathLike]) -> Journal:
         return Journal()  # a header-only JSONL file: zero events
     raise JournalError(
         f"{path}: neither a {JOURNAL_SCHEMA} JSONL file nor a "
-        "repro.obs/1 artifact with a 'journal' key"
+        "repro.obs artifact with a 'journal' key"
     )
 
 

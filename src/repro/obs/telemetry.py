@@ -1,4 +1,4 @@
-"""The unified telemetry hub: registry + journal + engine profile.
+"""The unified telemetry hub: metric totals + journal + engine profile.
 
 A :class:`Telemetry` object is the single thing a scenario, defense, or
 benchmark threads through the stack.  Components take an optional
@@ -7,10 +7,16 @@ None`` — a run without telemetry constructs no objects and executes no
 instrumentation, so the disabled path costs nothing in the hot loop.
 
 While the simulator runs, only the journal and the engine profile
-record anything.  The registry is filled once, after the run, by
-:meth:`Telemetry.snapshot_network` and :meth:`Telemetry.record_stats`
-from counts the network and the defense keep anyway, so no fact is
-recorded twice and telemetry adds no per-packet work.
+record anything.  The run's totals that no other record keeps — the
+network's packet, byte and drop counts, its queue depths and the
+numeric entries of the defense's ``stats()`` — are two plain maps,
+:attr:`Telemetry.counters` and :attr:`Telemetry.gauges`, filled once
+after the run by :meth:`Telemetry.snapshot_network` and
+:meth:`Telemetry.record_stats` from counts the network and the defense
+keep anyway, so no fact is recorded twice and telemetry adds no
+per-packet work.  Facts the causal journal or another artifact field
+already holds (session opens, hop relays, captures, per-class
+throughput, the event count) are not restated there.
 
 The hub also owns the *session rendezvous*: the honeypot defense's
 lifecycle events are journaled by agents that never hold references to
@@ -23,21 +29,25 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional, Set, Tuple
 
-from .export import registry_to_prometheus, write_json
+from .export import write_json
 from .journal import Journal, JournalEvent, render_timeline
 from .profile import EngineProfiler
-from .registry import MetricsRegistry
 
-__all__ = ["Telemetry"]
+__all__ = ["ARTIFACT_SCHEMA", "Telemetry"]
 
 SessionKey = Tuple[int, int]  # (honeypot addr, epoch)
+
+#: Schema of :meth:`Telemetry.artifact`.  ``/2`` carries ``metrics`` as
+#: ``{"counters": {name: value}, "gauges": {name: value}}``.
+ARTIFACT_SCHEMA = "repro.obs/2"
 
 
 class Telemetry:
     """Bundle of the observability primitives for one run."""
 
     def __init__(self, sim: Optional[Any] = None) -> None:
-        self.registry = MetricsRegistry()
+        self.counters: Dict[str, float] = {}
+        self.gauges: Dict[str, float] = {}
         self.journal = Journal()
         self.profiler = EngineProfiler()
         self.session_journal: Dict[SessionKey, JournalEvent] = {}
@@ -100,13 +110,22 @@ class Telemetry:
     # ------------------------------------------------------------------
     # Post-run collection
     # ------------------------------------------------------------------
+    def add_metrics(self, record: Dict[str, Dict[str, float]]) -> None:
+        """Fold a ``{"counters": {...}, "gauges": {...}}`` record into
+        the run's totals: counters add, gauges keep the larger value.
+        The one place totals fold, whether from one run, from several
+        runs sharing this hub, or from merged worker artifacts."""
+        for name, value in record.get("counters", {}).items():
+            self.counters[name] = self.counters.get(name, 0) + value
+        for name, value in record.get("gauges", {}).items():
+            self.gauges[name] = max(self.gauges.get(name, value), value)
+
     def snapshot_network(self, net: Any) -> None:
         """Fold a :class:`~repro.sim.network.Network`'s own counters into
-        the registry.  This is how the hot path stays uninstrumented:
+        the totals.  This is how the hot path stays uninstrumented:
         links and routers count for themselves (plain attribute adds
         they do anyway), and the totals are collected once, here.  The
         event count is left to the engine profile, which holds it."""
-        reg = self.registry
         from ..sim.node import Host, Router  # local import avoids a cycle
 
         recv = orig = fwd = filt = noroute = 0
@@ -120,12 +139,6 @@ class Telemetry:
                 noroute += node.no_route_drops
             elif isinstance(node, Host):
                 host_bytes += node.bytes_received
-        reg.counter("node_packets_received_total").inc(recv)
-        reg.counter("node_packets_originated_total").inc(orig)
-        reg.counter("router_packets_forwarded_total").inc(fwd)
-        reg.counter("router_packets_filtered_total").inc(filt)
-        reg.counter("router_no_route_drops_total").inc(noroute)
-        reg.counter("host_bytes_received_total").inc(host_bytes)
 
         sent = dropped = sent_bytes = qdepth = 0
         qmax = 0
@@ -136,18 +149,33 @@ class Telemetry:
                 dropped += ch.packets_dropped
                 qdepth += len(ch.queue)
                 qmax = max(qmax, len(ch.queue))
-        reg.counter("channel_packets_sent_total").inc(sent)
-        reg.counter("channel_bytes_sent_total").inc(sent_bytes)
-        reg.counter("channel_packets_dropped_total").inc(dropped)
-        reg.gauge("queue_depth_packets").set(qdepth)
-        reg.gauge("queue_depth_packets_max_channel").set(qmax)
+        self.add_metrics({
+            "counters": {
+                "node_packets_received_total": recv,
+                "node_packets_originated_total": orig,
+                "router_packets_forwarded_total": fwd,
+                "router_packets_filtered_total": filt,
+                "router_no_route_drops_total": noroute,
+                "host_bytes_received_total": host_bytes,
+                "channel_packets_sent_total": sent,
+                "channel_bytes_sent_total": sent_bytes,
+                "channel_packets_dropped_total": dropped,
+            },
+            "gauges": {
+                "queue_depth_packets": qdepth,
+                "queue_depth_packets_max_channel": qmax,
+            },
+        })
 
     def record_stats(self, stats: Dict[str, Any], prefix: str = "") -> None:
         """Numeric entries of a ``Defense.stats()`` dict -> counters."""
-        for key, value in stats.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                continue
-            self.registry.counter(f"{prefix}{key}").inc(value)
+        self.add_metrics({
+            "counters": {
+                f"{prefix}{key}": value
+                for key, value in stats.items()
+                if isinstance(value, (int, float)) and not isinstance(value, bool)
+            }
+        })
 
     # ------------------------------------------------------------------
     # Artifact assembly
@@ -155,8 +183,8 @@ class Telemetry:
     def artifact(self) -> Dict[str, Any]:
         """The machine-readable run artifact (JSON-serializable)."""
         payload: Dict[str, Any] = {
-            "schema": "repro.obs/1",
-            "metrics": self.registry.as_dict(),
+            "schema": ARTIFACT_SCHEMA,
+            "metrics": {"counters": dict(self.counters), "gauges": dict(self.gauges)},
             "journal": self.journal.to_dicts(),
             "engine": self.profiler.as_dict(),
         }
@@ -184,8 +212,10 @@ class Telemetry:
         return "\n".join(lines)
 
     def render(self) -> str:
-        """Human-readable dump: prometheus text + session timelines."""
-        parts = [registry_to_prometheus(self.registry)]
+        """Human-readable dump: one ``name value`` line per metric
+        (sorted by name, values exact) + session timelines."""
+        metrics = sorted([*self.counters.items(), *self.gauges.items()])
+        parts = ["".join(f"{name} {value}\n" for name, value in metrics)]
         if self.journal.events:
             parts.append(render_timeline(self.journal))
             parts.append(

@@ -73,7 +73,8 @@ class SweepCheckpoint:
         self._flush()
 
     def discard(self, task_ids: Iterable[str]) -> None:
-        """Forget selected tasks (used by resume tests and ``--rerun``)."""
+        """Forget selected tasks, so a resumed sweep runs them again
+        (the runner's stale-outcome check)."""
         for task_id in task_ids:
             self._outcomes.pop(task_id, None)
         self._flush()

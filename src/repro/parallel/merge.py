@@ -5,8 +5,8 @@ Workers cannot share a live :class:`~repro.obs.telemetry.Telemetry`
 instrumented task builds its own and ships the JSON-ready *artifact*
 back.  This module folds those artifacts into a parent telemetry:
 
-* metrics merge via :meth:`MetricsRegistry.merge` (counter adds,
-  gauge sets);
+* metrics fold via :meth:`Telemetry.add_metrics` (counters add,
+  gauges keep the larger value);
 * journal events are re-materialized with their ids offset past the
   parent's, preserving causal links — exactly what sequential serial
   runs sharing one journal would have produced, byte for byte;
@@ -25,7 +25,6 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, Sequence
 
 from ..obs.journal import JournalEvent
-from ..obs.registry import MetricsRegistry
 from ..obs.telemetry import Telemetry
 
 __all__ = ["absorb_artifact", "merge_artifacts", "strip_volatile", "VOLATILE_KEYS"]
@@ -38,9 +37,7 @@ VOLATILE_KEYS = frozenset(
     {"wall_time_s", "wall_time", "events_per_sec", "wall_per_sim_sec", "wall_s"}
 )
 
-# Artifacts in older checkpoints also carry a "spans" list; listing it
-# here keeps it out of ``extra``.
-_ARTIFACT_CORE = ("schema", "metrics", "spans", "journal", "engine")
+_ARTIFACT_CORE = ("schema", "metrics", "journal", "engine")
 
 
 def strip_volatile(obj: Any, keys: Iterable[str] = VOLATILE_KEYS) -> Any:
@@ -69,9 +66,7 @@ def _deep_setdefault(dst: Dict[str, Any], src: Dict[str, Any]) -> None:
 
 def absorb_artifact(telemetry: Telemetry, artifact: Dict[str, Any]) -> Telemetry:
     """Fold one worker's run artifact into ``telemetry`` in place."""
-    metrics = artifact.get("metrics")
-    if metrics:
-        telemetry.registry.merge(MetricsRegistry.from_dict(metrics))
+    telemetry.add_metrics(artifact.get("metrics", {}))
 
     event_offset = len(telemetry.journal.events)
     for d in artifact.get("journal", ()):

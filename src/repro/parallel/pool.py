@@ -65,16 +65,22 @@ _POLL_S = 0.05
 
 def resolve_jobs(jobs: Optional[int] = None, env: str = JOBS_ENV) -> int:
     """Effective worker count: explicit argument, else ``$REPRO_JOBS``,
-    else 1 (serial)."""
-    if jobs is not None:
-        return max(1, int(jobs))
-    raw = os.environ.get(env, "").strip()
-    if raw:
+    else 1 (serial).  A count below 1 from either source raises
+    :class:`ValueError`."""
+    source = "jobs"
+    if jobs is None:
+        raw = os.environ.get(env, "").strip()
+        if not raw:
+            return 1
+        source = env
         try:
-            return max(1, int(raw))
+            jobs = int(raw)
         except ValueError:
             raise ValueError(f"{env} must be an integer (got {raw!r})") from None
-    return 1
+    jobs = int(jobs)
+    if jobs < 1:
+        raise ValueError(f"{source} must be >= 1 (got {jobs})")
+    return jobs
 
 
 @dataclass

@@ -170,6 +170,13 @@ class TestJobsAndSweepParsing:
             ["--field", "attack_start", "--values", "1.0,abc"],
             ["--seeds", "0,x"],
             ["--seeds", ","],
+            ["--field", "seed", "--values", "1,2"],
+            ["--field", "n_clients"],
+            ["--field", "honeypot_probability", "--values", "0.5"],
+            ["--field", "placement", "--values", "bogus"],
+            ["--field", "defense", "--values", "foo"],
+            ["--field", "attacker_policy", "--values", "bogus"],
+            ["--jobs", "0"],
         ],
         ids=[
             "timeout=0",
@@ -179,11 +186,24 @@ class TestJobsAndSweepParsing:
             "attack_start=1.0,abc",
             "seeds=0,x",
             "seeds=empty",
+            "field=seed",
+            "field=n_clients",
+            "field=honeypot_probability",
+            "placement=bogus",
+            "defense=foo",
+            "attacker_policy=bogus",
+            "jobs=0",
         ],
     )
-    def test_sweep_bad_option_is_a_usage_error(self, option):
+    def test_sweep_bad_option_is_a_usage_error(self, option, monkeypatch):
         # A string SystemExit prints "error: ..." and no traceback; a
         # later --field/--values overrides the defaults below.
+        import repro.experiments.runner as runner
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a task ran")
+
+        monkeypatch.setattr(runner, "run_tasks", no_run)
         argv = [
             "sweep", "--field", "n_attackers", "--values", "1",
             "--scale", "quick", "--defense", "none", *option,
@@ -202,6 +222,18 @@ class TestJobsAndSweepParsing:
         monkeypatch.setattr(cli, "figure", no_run)
         with pytest.raises(SystemExit) as exc:
             main(["fig11", "--scale", "quick"])
+        assert str(exc.value.code).startswith("error: ")
+
+    def test_zero_jobs_fails_before_any_run(self, monkeypatch):
+        import repro.cli as cli
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a scenario ran")
+
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        monkeypatch.setattr(cli, "figure", no_run)
+        with pytest.raises(SystemExit) as exc:
+            main(["fig10", "--jobs", "0", "--scale", "quick"])
         assert str(exc.value.code).startswith("error: ")
 
 

@@ -233,18 +233,6 @@ class TestTelemetryJournal:
         assert names == ["session_open", "session_close"]
         assert late.event_id == tele.journal_root(9, 2).event_id == 0
 
-    def test_absorb_ignores_legacy_spans(self):
-        from repro.parallel import absorb_artifact
-
-        worker = Telemetry()
-        worker.journal.record("session_open", honeypot=1, epoch=0)
-        legacy = worker.artifact()
-        legacy["spans"] = [{"span_id": 0, "name": "honeypot_session"}]
-        parent = Telemetry()
-        absorb_artifact(parent, legacy)
-        assert "spans" not in parent.artifact()
-        assert [e.name for e in parent.journal.events] == ["session_open"]
-
     def test_simulator_journals_run_boundaries(self):
         from repro.sim.engine import Simulator
 

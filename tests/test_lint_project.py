@@ -51,7 +51,6 @@ PROJECT_CASES = {
     "RPL301": 1,
     "RPL302": 1,
     "RPL303": 1,
-    "RPL304": 2,
 }
 
 
@@ -190,15 +189,15 @@ class TestRepoIsClean:
         assert diags == [], [d.render() for d in diags]
 
     def test_diagnostic_ordering_is_stable(self):
-        diags = _project_diags("rpl304_bad")
+        diags = _project_diags("rpl203_bad")
         keys = [(d.path, d.line, d.col, d.code) for d in diags]
         assert keys == sorted(keys)
-        assert diags == _project_diags("rpl304_bad")
+        assert diags == _project_diags("rpl203_bad")
 
 
 class TestSarif:
     def _sarif_doc(self):
-        diags = _project_diags("rpl304_bad")
+        diags = _project_diags("rpl203_bad")
         assert diags, "fixture must produce findings"
         rules = (*ALL_RULES, *ALL_PROJECT_RULES)
         return json.loads(render_sarif(diags, rules))
@@ -218,16 +217,16 @@ class TestSarif:
         rule_ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
         assert rule_ids == sorted(rule_ids)
         assert set(PROJECT_CASES) <= set(rule_ids)
-        assert [r["ruleId"] for r in run["results"]] == ["RPL304", "RPL304"]
+        assert [r["ruleId"] for r in run["results"]] == ["RPL203", "RPL203"]
         for result in run["results"]:
             loc = result["locations"][0]["physicalLocation"]
-            assert loc["artifactLocation"]["uri"].endswith("metrics.py")
+            assert loc["artifactLocation"]["uri"].endswith("scenario.py")
             assert loc["region"]["startLine"] >= 1
             # ruleIndex points back into the rules array
-            assert rule_ids[result["ruleIndex"]] == "RPL304"
+            assert rule_ids[result["ruleIndex"]] == "RPL203"
 
     def test_sarif_output_is_deterministic(self):
-        diags = _project_diags("rpl304_bad")
+        diags = _project_diags("rpl203_bad")
         rules = (*ALL_RULES, *ALL_PROJECT_RULES)
         assert render_sarif(diags, rules) == render_sarif(diags, rules)
 
@@ -236,8 +235,8 @@ class TestSarif:
         code = lint_main(
             [
                 "--project",
-                str(FIXTURES / "rpl304_bad"),
-                str(FIXTURES / "rpl304_bad"),
+                str(FIXTURES / "rpl203_bad"),
+                str(FIXTURES / "rpl203_bad"),
                 "--format",
                 "sarif",
                 "--output",
@@ -252,11 +251,11 @@ class TestSarif:
 
 class TestBaselineLifecycle:
     def _bad(self):
-        return str(FIXTURES / "rpl304_bad")
+        return str(FIXTURES / "rpl203_bad")
 
     def test_violation_without_baseline_fails(self, capsys):
         assert lint_main(["--project", self._bad(), self._bad()]) == 1
-        assert "RPL304" in capsys.readouterr().out
+        assert "RPL203" in capsys.readouterr().out
 
     def test_baselined_violation_passes(self, tmp_path, capsys):
         baseline = tmp_path / "baseline.json"
@@ -275,7 +274,7 @@ class TestBaselineLifecycle:
         )
         doc = json.loads(baseline.read_text(encoding="utf-8"))
         assert doc["schema"] == "repro.lint-baseline/1"
-        # Entries are keyed (path, code, message): the two RPL304
+        # Entries are keyed (path, code, message): the two RPL203
         # occurrences share a message, so one entry covers both.
         assert len(doc["entries"]) == 1
         assert all(e["reason"] for e in doc["entries"])
@@ -294,7 +293,7 @@ class TestBaselineLifecycle:
         captured = capsys.readouterr()
         assert code == 0
         assert "2 baselined" in captured.out
-        assert "RPL304" not in captured.out
+        assert "RPL203" not in captured.out
 
     def test_new_violation_not_in_baseline_fails(self, tmp_path, capsys):
         baseline = tmp_path / "baseline.json"
@@ -306,7 +305,7 @@ class TestBaselineLifecycle:
             ["--project", self._bad(), self._bad(), "--baseline", str(baseline)]
         )
         assert code == 1
-        assert "RPL304" in capsys.readouterr().out
+        assert "RPL203" in capsys.readouterr().out
 
     def test_stale_baseline_entry_is_drift(self, tmp_path, capsys):
         baseline = tmp_path / "baseline.json"
@@ -317,8 +316,8 @@ class TestBaselineLifecycle:
                     "entries": [
                         {
                             "path": "gone.py",
-                            "code": "RPL304",
-                            "message": "metric 'x' ...",
+                            "code": "RPL203",
+                            "message": "RngRegistry() ...",
                             "reason": "was accepted, since fixed",
                         }
                     ],
@@ -326,7 +325,7 @@ class TestBaselineLifecycle:
             ),
             encoding="utf-8",
         )
-        good = str(FIXTURES / "rpl304_good")
+        good = str(FIXTURES / "rpl203_good")
         code = lint_main(["--project", good, good, "--baseline", str(baseline)])
         captured = capsys.readouterr()
         assert code == 1
@@ -341,7 +340,7 @@ class TestBaselineLifecycle:
                     "entries": [
                         {
                             "path": "a.py",
-                            "code": "RPL304",
+                            "code": "RPL203",
                             "message": "m",
                             "reason": "  ",
                         }

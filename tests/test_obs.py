@@ -7,66 +7,38 @@ import pytest
 from repro.obs import (
     EngineProfiler,
     Journal,
-    MetricsRegistry,
     Telemetry,
     build_tree,
     load_json,
-    registry_to_prometheus,
     write_json,
 )
 from repro.sim.engine import Simulator
 
 
-class TestRegistry:
-    def test_counter_get_or_create_and_inc(self):
-        reg = MetricsRegistry()
-        reg.counter("pkts", cls="legit").inc(3)
-        reg.counter("pkts", cls="legit").inc(2)
-        reg.counter("pkts", cls="attack").inc()
-        assert reg.value("pkts", cls="legit") == 5
-        assert reg.value("pkts", cls="attack") == 1
-        assert reg.value("pkts", cls="missing") == 0
+class TestMetrics:
+    def test_counters_add_and_gauges_keep_the_maximum(self):
+        tele = Telemetry()
+        tele.add_metrics({"counters": {"c": 2}, "gauges": {"g": 4}})
+        tele.add_metrics({"counters": {"c": 3, "d": 0}, "gauges": {"g": 3}})
+        tele.add_metrics({"gauges": {"g": 9, "h": 1}})
+        tele.add_metrics({})
+        assert tele.counters == {"c": 5, "d": 0}
+        assert tele.gauges == {"g": 9, "h": 1}
 
-    def test_counter_rejects_negative(self):
-        reg = MetricsRegistry()
-        with pytest.raises(ValueError):
-            reg.counter("x").inc(-1)
+    def test_record_stats_keeps_numbers_only(self):
+        tele = Telemetry()
+        stats = {"captures": 3, "rate": 0.5, "active": True, "mode": "x", "ids": [1]}
+        tele.record_stats(stats, prefix="honeypot_")
+        tele.record_stats({"captures": 2}, prefix="honeypot_")
+        assert tele.counters == {"honeypot_captures": 5, "honeypot_rate": 0.5}
+        assert tele.gauges == {}
 
-    def test_label_order_is_irrelevant(self):
-        reg = MetricsRegistry()
-        reg.counter("m", a=1, b=2).inc()
-        reg.counter("m", b=2, a=1).inc()
-        assert reg.value("m", a=1, b=2) == 2
-
-    def test_gauge_tracks_max(self):
-        reg = MetricsRegistry()
-        g = reg.gauge("depth")
-        g.set(4)
-        g.set(9)
-        g.set(2)
-        assert g.value == 2
-        assert g.max_value == 9
-
-    def test_round_trip_exact(self):
-        reg = MetricsRegistry()
-        reg.counter("c", cls="x").inc(7)
-        g = reg.gauge("g")
-        g.set(9)
-        g.set(4)
-        clone = MetricsRegistry.from_dict(reg.as_dict())
-        assert clone.as_dict() == reg.as_dict()
-        # ... and survives an actual JSON encode/decode.
-        again = MetricsRegistry.from_dict(
-            json.loads(json.dumps(reg.as_dict()))
+    def test_render_prints_one_exact_line_per_metric(self):
+        tele = Telemetry()
+        tele.add_metrics(
+            {"counters": {"b_total": 1226660488, "a_total": 0.25}, "gauges": {"c": 7}}
         )
-        assert again.as_dict() == reg.as_dict()
-
-    def test_merge_folds_counts(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("c").inc(1)
-        b.counter("c").inc(2)
-        a.merge(b)
-        assert a.value("c") == 3
+        assert tele.render() == "a_total 0.25\nb_total 1226660488\nc 7\n"
 
 
 class TestProfiler:
@@ -103,15 +75,14 @@ class TestProfiler:
 class TestExport:
     def test_json_artifact_round_trip(self, tmp_path):
         tele = Telemetry()
-        tele.registry.counter("c").inc(2)
+        tele.add_metrics({"counters": {"c": 2}, "gauges": {"g": 1.5}})
         root = tele.journal.record("session_open")
         tele.journal.record("session_close", parent=root, at=1.0)
         path = tmp_path / "artifact.json"
         tele.write(path)
         data = load_json(path)
-        assert data["schema"] == "repro.obs/1"
-        clone = MetricsRegistry.from_dict(data["metrics"])
-        assert clone.as_dict() == tele.registry.as_dict()
+        assert data["schema"] == "repro.obs/2"
+        assert data["metrics"] == {"counters": {"c": 2}, "gauges": {"g": 1.5}}
         journal = Journal.from_dicts(data["journal"])
         assert journal.to_dicts() == tele.journal.to_dicts()
 
@@ -121,22 +92,6 @@ class TestExport:
         path = write_json(tmp_path / "x.json", {"a": np.float64(1.5), "b": {3, 1}})
         data = load_json(path)
         assert data == {"a": 1.5, "b": [1, 3]}
-
-    def test_prometheus_text(self):
-        reg = MetricsRegistry()
-        reg.counter("pkts_total", cls="legit").inc(5)
-        reg.gauge("depth").set(2)
-        text = registry_to_prometheus(reg)
-        assert "# TYPE repro_pkts_total counter" in text
-        assert 'repro_pkts_total{cls="legit"} 5' in text
-        assert "repro_depth 2" in text
-
-    def test_prometheus_sanitizes_names(self):
-        reg = MetricsRegistry()
-        reg.counter("honeypot-backprop_captures").inc(1)
-        text = registry_to_prometheus(reg)
-        assert "repro_honeypot_backprop_captures 1" in text
-        assert "honeypot-backprop" not in text
 
     def test_json_default_sorts_mixed_type_sets(self):
         from repro.obs.export import json_default
@@ -148,57 +103,6 @@ class TestExport:
         mixed = json_default({1, "a", (2, 3)})
         assert sorted(map(repr, mixed)) == [repr(v) for v in mixed]
         assert json.loads(json.dumps({"s": {1, "a"}}, default=json_default))
-
-
-class TestExposition:
-    """Parse the emitted exposition text back (the scraper's view)."""
-
-    def _registry(self):
-        reg = MetricsRegistry()
-        reg.counter("pkts_total", cls="legit").inc(5)
-        reg.counter("pkts_total", cls="attack").inc(2)
-        reg.gauge("depth", queue="q0").set(7)
-        return reg
-
-    def test_round_trip_preserves_samples_and_types(self):
-        from repro.obs.export import parse_exposition
-
-        doc = parse_exposition(registry_to_prometheus(self._registry()))
-        assert doc["types"]["repro_pkts_total"] == "counter"
-        assert doc["types"]["repro_depth"] == "gauge"
-        by_key = {
-            (s["name"], tuple(sorted(s["labels"].items()))): s["value"]
-            for s in doc["samples"]
-        }
-        assert by_key[("repro_pkts_total", (("cls", "legit"),))] == 5
-        assert by_key[("repro_depth", (("queue", "q0"),))] == 7
-
-    def test_label_escaping_round_trips(self):
-        from repro.obs.export import parse_exposition
-
-        reg = MetricsRegistry()
-        evil = 'a\\b"c\nd,e}f'
-        reg.counter("m_total", path=evil).inc(1)
-        text = registry_to_prometheus(reg)
-        assert "\n" not in text.splitlines()[1]  # newline escaped in place
-        doc = parse_exposition(text)
-        (sample,) = [s for s in doc["samples"] if s["name"] == "repro_m_total"]
-        assert sample["labels"]["path"] == evil
-
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            "# TYPE missing_kind",
-            "name_only",
-            'm{le="unterminated 1',
-            "m notanumber",
-        ],
-    )
-    def test_malformed_lines_are_rejected(self, bad):
-        from repro.obs.export import parse_exposition
-
-        with pytest.raises(ValueError):
-            parse_exposition(bad)
 
 
 class TestTelemetryIntegration:
@@ -223,16 +127,15 @@ class TestTelemetryIntegration:
         for _ in range(2):
             tele = Telemetry()
             self._trial(tele)
-            artifacts.append(
-                {"metrics": tele.registry.as_dict(), "journal": tele.journal.to_dicts()}
-            )
+            art = tele.artifact()
+            artifacts.append({"metrics": art["metrics"], "journal": art["journal"]})
         assert artifacts[0] == artifacts[1]
 
     def test_trial_produces_session_journal_and_metrics(self):
         tele = Telemetry()
         captured = self._trial(tele)
         assert captured is not None
-        assert tele.registry.value("node_packets_received_total") > 0
+        assert tele.counters["node_packets_received_total"] > 0
         assert tele.journal.find("session_open")
         assert tele.journal.find("port_close")
 
@@ -288,37 +191,30 @@ class TestTelemetryIntegration:
         assert res_plain.capture_times == res.capture_times
 
 
-class TestRegistryWrittenAfterRun:
-    """Nothing acquires a registry instrument while a simulator runs:
-    the registry is filled after the run from the counts the network
-    and the defense keep, so telemetry adds no per-event work."""
+class TestMetricsWrittenAfterRun:
+    """No metric is written while a simulator runs: the totals are
+    filled after the run from the counts the network and the defense
+    keep, so telemetry adds no per-event work."""
 
     @pytest.fixture(autouse=True)
     def guard(self, monkeypatch):
-        running = []
-        run = Simulator.run
+        hubs = []
+        bind, run = Telemetry.bind, Simulator.run
+
+        def tracked_bind(tele, sim):
+            hubs.append(tele)
+            return bind(tele, sim)
+
+        def metrics():
+            return [(dict(t.counters), dict(t.gauges)) for t in hubs]
 
         def guarded_run(sim, until=None):
-            running.append(sim)
-            try:
-                run(sim, until)
-            finally:
-                running.pop()
+            before = metrics()
+            run(sim, until)
+            assert metrics()[: len(before)] == before, "metric written in a run"
 
-        def refuse_while_running(acquire):
-            def guarded(registry, name, **labels):
-                assert not running, f"registry write {name!r} during a run"
-                return acquire(registry, name, **labels)
-
-            return guarded
-
+        monkeypatch.setattr(Telemetry, "bind", tracked_bind)
         monkeypatch.setattr(Simulator, "run", guarded_run)
-        for acquire in ("counter", "gauge"):
-            monkeypatch.setattr(
-                MetricsRegistry,
-                acquire,
-                refuse_while_running(getattr(MetricsRegistry, acquire)),
-            )
 
     @pytest.mark.parametrize(
         "defense, profile",
@@ -341,7 +237,7 @@ class TestRegistryWrittenAfterRun:
         )
         tele = Telemetry()
         run_tree_scenario(params, telemetry=tele, profile=profile)
-        assert tele.registry.value("host_bytes_received_total") > 0
+        assert tele.counters["host_bytes_received_total"] > 0
         if defense == "honeypot":
             assert tele.journal.find("port_close")
 
@@ -352,7 +248,7 @@ class TestRegistryWrittenAfterRun:
         params = ValidationParams(hops=3, p=0.5, epoch_len=5.0, runs=1, seed=3)
         assert run_trial(params, 0, telemetry=tele) is not None
         assert tele.journal.find("port_close")
-        assert tele.registry.value("node_packets_received_total") > 0
+        assert tele.counters["node_packets_received_total"] > 0
 
     @pytest.mark.parametrize("engine", ["interas", "hierarchical"])
     def test_as_level_engines(self, engine):
@@ -368,7 +264,9 @@ class TestArtifactMerging:
     def _worker_artifact(self, seed):
         """Build a small self-consistent artifact like a pool worker's."""
         tele = Telemetry()
-        tele.registry.counter("pkts", cls="legit").inc(10 + seed)
+        tele.add_metrics(
+            {"counters": {"pkts": 10 + seed}, "gauges": {"depth": 5 - seed}}
+        )
         root = tele.journal.record("session_open", at=0.0, seed=seed)
         tele.journal.record("port_close", at=1.0, parent=root)
         tele.journal.record("session_close", at=3.0, parent=root)
@@ -385,7 +283,8 @@ class TestArtifactMerging:
         parent = Telemetry()
         absorb_artifact(parent, self._worker_artifact(0))
         absorb_artifact(parent, self._worker_artifact(1))
-        assert parent.registry.value("pkts", cls="legit") == 21
+        assert parent.counters == {"pkts": 21}
+        assert parent.gauges == {"depth": 5}
         prof = parent.profiler.as_dict()
         assert prof["runs"] == 2
         assert prof["events_processed"] == 300

@@ -159,8 +159,8 @@ class TestInstrumentedSerialEqualsParallel:
         pooled_path = pooled.journal.write_jsonl(tmp_path / f"pool{jobs}.jsonl")
         with open(serial_path, "rb") as a, open(pooled_path, "rb") as b:
             assert a.read() == b.read()
-        assert canonical(pooled.registry.as_dict()) == canonical(
-            serial_telemetry.registry.as_dict()
+        assert canonical(pooled.artifact()["metrics"]) == canonical(
+            serial_telemetry.artifact()["metrics"]
         )
 
     def test_journal_covers_every_task(self, serial_telemetry):

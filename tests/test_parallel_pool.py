@@ -76,6 +76,15 @@ class TestResolveJobs:
         with pytest.raises(ValueError):
             resolve_jobs(None)
 
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_count_below_one_is_rejected(self, monkeypatch, count):
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            resolve_jobs(count)
+        monkeypatch.setenv("REPRO_JOBS", str(count))
+        with pytest.raises(ValueError, match="REPRO_JOBS must be >= 1"):
+            resolve_jobs(None)
+
 
 class TestInlineExecution:
     def test_basic(self):
@@ -315,6 +324,36 @@ class TestCheckpointParams:
         assert result_to_dict(again) == result_to_dict(fresh)
         stored = SweepCheckpoint(path).get(self.TASK)
         assert "shards" not in stored["value"]["result"]["params"]
+
+    def test_outcome_with_an_older_artifact_schema_is_rerun(self, tmp_path):
+        from repro.obs import Telemetry
+
+        path = tmp_path / "ck.json"
+        fresh = Telemetry()
+        run = run_sweep(
+            self.BASE, "n_attackers", [3], seeds=[0],
+            checkpoint=SweepCheckpoint(path), telemetry=fresh,
+        )
+        assert run.report.ok
+        # A repro.obs/1 artifact lists its counters; absorbing it as a
+        # repro.obs/2 record would fail, so the task runs again.
+        data = json.loads(path.read_text())
+        artifact = data["outcomes"][self.TASK]["value"]["telemetry"]
+        artifact["schema"] = "repro.obs/1"
+        artifact["metrics"] = {
+            "counters": [{"name": "c", "labels": {}, "value": 1}],
+            "gauges": [],
+        }
+        path.write_text(json.dumps(data))
+        merged = Telemetry()
+        run = run_sweep(
+            self.BASE, "n_attackers", [3], seeds=[0],
+            checkpoint=SweepCheckpoint(path), telemetry=merged,
+        )
+        assert run.report.executed == [self.TASK]
+        assert run.report.resumed == []
+        assert isinstance(merged.artifact()["metrics"]["counters"], dict)
+        assert merged.counters == fresh.counters
 
 
 class TestSweepCommandExitCodes:

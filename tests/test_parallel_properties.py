@@ -20,6 +20,7 @@ import os
 import tempfile
 from dataclasses import asdict
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -106,6 +107,24 @@ class TestTaskPlanning:
             task_fn=stub_scenario_task,
         )
         assert {t.task_id for t in forward} == {t.task_id for t in backward}
+
+    @pytest.mark.parametrize(
+        "field_name, values",
+        [
+            ("seed", [1, 2]),
+            ("n_clients", [1]),
+            ("honeypot_probability", [0.5]),
+            ("placement", ["bogus"]),
+            ("defense", ["foo"]),
+            ("attacker_policy", ["bogus"]),
+        ],
+        ids=lambda case: case if isinstance(case, str) else ",".join(map(str, case)),
+    )
+    def test_unsweepable_field_or_value_is_rejected(self, field_name, values):
+        # seed is swept by ``seeds``; n_clients and honeypot_probability
+        # are properties; the others are outside the field's choices.
+        with pytest.raises(ValueError):
+            plan_sweep_tasks(BASE, field_name, values, [0])
 
     def test_duplicate_pair_rejected_by_pool(self):
         tasks = plan_sweep_tasks(
